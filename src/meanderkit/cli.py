@@ -19,9 +19,9 @@ from .spectrum import spectrum_to_json
 from .core import (
     ConsistencyError,
     MeanderType,
-    NotFrobeniusError,
     ParseError,
     PreconditionError,
+    _parse_uint,
     build_graph,
     index_naive,
     parse_type,
@@ -40,7 +40,7 @@ verbs:
   check MEANDER [--json]                     Frobenius test plus index
   generate --moves K [--seed S] [--json]     random Frobenius meander
   generate UPMOVE... [--json]                wind up an explicit sequence
-  enumerate N [--workers K]                  all meanders of order N
+  enumerate N                                all meanders of order N
   oracle index MEANDER [--trials T] [--seed S] [--json]
   oracle principal MEANDER [--json]
   oracle spectrum MEANDER [--json]
@@ -113,12 +113,6 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     except ParseError as exc:
         _emit(f"error: {exc}", err)
         return 1
-    except winding.WindUpError as exc:
-        _emit(f"error: {exc}", err)
-        return 2
-    except NotFrobeniusError as exc:
-        _emit(f"error: {exc}", err)
-        return 2
     except PreconditionError as exc:
         _emit(f"error: {exc}", err)
         return 2
@@ -288,15 +282,10 @@ def _cmd_generate(argv, out, err) -> int:
 
 
 def _cmd_enumerate(argv, out, err) -> int:
-    args = _Args(argv, set(), {"--workers"})
-    if len(args.positional) != 1 or not args.positional[0].isdigit():
+    args = _Args(argv, set(), set())
+    if len(args.positional) != 1:
         raise _Usage("enumerate needs a positive order N")
-    n = int(args.positional[0])
-    workers = args.int_option("--workers", 1)
-    if workers is not None and workers < 1:
-        raise _Usage("--workers must be >= 1")
-    # enumeration is a stream in lexicographic order; extra workers have
-    # nothing to parallelize here, the flag is accepted for interface parity
+    n = _parse_uint(args.positional[0], "order N")
     for m in winding.enumerate_meanders(n):
         _emit(str(m), out)
     return 0
@@ -379,11 +368,11 @@ def _cmd_search(argv, out, err) -> int:
     if not argv:
         raise _Usage("search needs a subcommand: gcd, unimodality, blocks")
     sub = argv[0]
-    args = _Args(
-        argv[1:],
-        set(),
-        {"--config", "--max-coef", "--n-max", "--seed", "--sample-size", "--workers", "-o"},
-    )
+    options = {"--config", "--max-coef", "--n-max", "--seed", "--sample-size", "-o"}
+    if sub == "gcd":
+        # the only search that splits its work over processes
+        options.add("--workers")
+    args = _Args(argv[1:], set(), options)
     config: dict = {}
     if "--config" in args.options:
         try:

@@ -18,7 +18,7 @@ computation is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = [
     "Composition",
@@ -134,6 +134,17 @@ class ComponentSummary:
     paths: int
 
 
+def _parse_uint(item: str, what: str) -> int:
+    """The value of a nonempty run of ASCII digits [0-9]+; ParseError otherwise.
+
+    str.isdigit, int() and the re module's \\d alone also accept other
+    Unicode digits, some of which int() then rejects.
+    """
+    if not (item.isascii() and item.isdigit()):
+        raise ParseError(f"bad {what}: {item!r}")
+    return int(item)
+
+
 def parse_type(text: str) -> MeanderType:
     """Parse ``comp "/" comp`` where ``comp := int ("|" int)*``.
 
@@ -146,12 +157,10 @@ def parse_type(text: str) -> MeanderType:
 
     def comp(part_text: str, side: str) -> Composition:
         items = part_text.split("|")
+        what = f"{side} part of {text!r}"
         parts = []
         for item in items:
-            item = item.strip()
-            if not item.isdigit():
-                raise ParseError(f"bad {side} part {item!r} in {text!r}")
-            value = int(item)
+            value = _parse_uint(item.strip(), what)
             if value < 1:
                 raise ParseError(f"zero part in {side} of {text!r}")
             parts.append(value)
@@ -169,6 +178,14 @@ def format_type(m: MeanderType) -> str:
 # functions are the hot path for exhaustive scans; the public operations
 # wrap them in the domain types.
 # ---------------------------------------------------------------------------
+
+
+def _block_spans(comp: Composition) -> Iterator[tuple[int, int]]:
+    """(first, last) vertex of each block, left to right."""
+    pos = 1
+    for k in comp:
+        yield pos, pos + k - 1
+        pos += k
 
 
 def _partners(top: Composition, bottom: Composition, n: int) -> tuple[list[int], list[int]]:
@@ -195,10 +212,8 @@ def _partners(top: Composition, bottom: Composition, n: int) -> tuple[list[int],
     return tp, bp
 
 
-def _summary(top: Composition, bottom: Composition) -> tuple[int, int]:
-    """(cycles, paths) of the realized arc diagram."""
-    n = sum(top)
-    tp, bp = _partners(top, bottom, n)
+def _walk(tp: Sequence[int], bp: Sequence[int], n: int) -> tuple[int, int]:
+    """(cycles, paths) of the arc diagram given by its partner arrays."""
     seen = bytearray(n + 1)
     cycles = 0
     paths = 0
@@ -231,7 +246,9 @@ def _summary(top: Composition, bottom: Composition) -> tuple[int, int]:
 
 
 def _index(top: Composition, bottom: Composition) -> int:
-    cycles, paths = _summary(top, bottom)
+    n = sum(top)
+    tp, bp = _partners(top, bottom, n)
+    cycles, paths = _walk(tp, bp, n)
     return 2 * cycles + paths - 1
 
 
@@ -247,35 +264,7 @@ def components(g: MeanderGraph) -> ComponentSummary:
     A component is a cycle when every vertex in it has both arcs; anything
     else, including an isolated vertex, is a path.
     """
-    seen = bytearray(g.n + 1)
-    tp = g.top_partner
-    bp = g.bottom_partner
-    cycles = 0
-    paths = 0
-    for v0 in range(1, g.n + 1):
-        if seen[v0]:
-            continue
-        seen[v0] = 1
-        is_cycle = False
-        for start in (tp[v0], bp[v0]):
-            if is_cycle or not start or seen[start]:
-                continue
-            prev = v0
-            cur = start
-            while True:
-                seen[cur] = 1
-                nxt = tp[cur] if tp[cur] != prev else bp[cur]
-                if not nxt:
-                    break
-                if nxt == v0:
-                    is_cycle = True
-                    break
-                prev, cur = cur, nxt
-        if is_cycle:
-            cycles += 1
-        else:
-            paths += 1
-    return ComponentSummary(cycles, paths)
+    return ComponentSummary(*_walk(g.top_partner, g.bottom_partner, g.n))
 
 
 def index_naive(m: MeanderType) -> int:
@@ -307,10 +296,3 @@ def _compositions(n: int) -> list[Composition]:
 
     rec(n)
     return out
-
-
-def _iter_pairs(n: int) -> Iterator[tuple[Composition, Composition]]:
-    comps = _compositions(n)
-    for t in comps:
-        for b in comps:
-            yield t, b

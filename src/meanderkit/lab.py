@@ -25,12 +25,23 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
+from typing import Iterator
 
-from .core import MeanderType, ParseError, PreconditionError, _compositions, _index
-from .spectrum import _block_measures_raw, _spectrum_raw, classify
+from .core import (
+    Composition,
+    MeanderType,
+    ParseError,
+    PreconditionError,
+    _block_spans,
+    _compositions,
+    _index,
+    _parse_uint,
+)
+from .spectrum import _block_measures_raw, _potentials, _spectrum_raw, classify
 
 __all__ = [
     "GcdCondition",
@@ -240,6 +251,20 @@ def search_gcd_conditions(
     )
 
 
+def _frobenius_pairs(n_max: int) -> Iterator[tuple[Composition, Composition]]:
+    """(top, bottom) of every Frobenius meander with order <= n_max.
+
+    Orders ascend, and within one order the pairs come in lexicographic
+    order, top-major.
+    """
+    for n in range(1, n_max + 1):
+        comps = _compositions(n)
+        for top in comps:
+            for bottom in comps:
+                if _index(top, bottom) == 0:
+                    yield top, bottom
+
+
 def scan_unimodality(n_max: int) -> ScanReport:
     """Spectra of all Frobenius meanders with order <= n_max, shape-checked.
 
@@ -252,28 +277,23 @@ def scan_unimodality(n_max: int) -> ScanReport:
     t0 = time.monotonic()
     counterexamples = []
     checked = 0
-    for n in range(1, n_max + 1):
-        comps = _compositions(n)
-        for top in comps:
-            for bottom in comps:
-                if _index(top, bottom) != 0:
-                    continue
-                checked += 1
-                dims = _spectrum_raw(top, bottom)
-                flags = classify(dims)
-                if not (flags.symmetric and flags.unbroken):
-                    raise AssertionError(
-                        f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
-                    )
-                if not (flags.unimodal and flags.strictly_unimodal):
-                    counterexamples.append(
-                        {
-                            "meander": str(MeanderType(top, bottom)),
-                            "spectrum": {str(e): d for e, d in sorted(dims.items())},
-                            "unimodal": flags.unimodal,
-                            "strictly_unimodal": flags.strictly_unimodal,
-                        }
-                    )
+    for top, bottom in _frobenius_pairs(n_max):
+        checked += 1
+        dims = _spectrum_raw(top, bottom)
+        flags = classify(dims)
+        if not (flags.symmetric and flags.unbroken):
+            raise AssertionError(
+                f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
+            )
+        if not (flags.unimodal and flags.strictly_unimodal):
+            counterexamples.append(
+                {
+                    "meander": str(MeanderType(top, bottom)),
+                    "spectrum": {str(e): d for e, d in sorted(dims.items())},
+                    "unimodal": flags.unimodal,
+                    "strictly_unimodal": flags.strictly_unimodal,
+                }
+            )
     return ScanReport(
         kind="unimodality",
         parameters={"n_max": n_max},
@@ -295,36 +315,24 @@ def scan_block_measures(n_max: int) -> ScanReport:
     t0 = time.monotonic()
     counterexamples = []
     checked = 0
-    for n in range(1, n_max + 1):
-        comps = _compositions(n)
-        for top in comps:
-            for bottom in comps:
-                if _index(top, bottom) != 0:
+    for top, bottom in _frobenius_pairs(n_max):
+        checked += 1
+        phi, _ = _potentials(top, bottom)
+        for side, comp in (("top", top), ("bottom", bottom)):
+            for k, span in enumerate(_block_spans(comp), start=1):
+                ms = _block_measures_raw(phi, span, side)
+                if not ms:
                     continue
-                checked += 1
-                for side, comp in (("top", top), ("bottom", bottom)):
-                    for k in range(1, len(comp) + 1):
-                        ms = _block_measures_raw(top, bottom, side, k)
-                        if not ms:
-                            continue
-                        lo, hi = ms[0], ms[-1]
-                        counts: dict[int, int] = {}
-                        for e in ms:
-                            counts[e] = counts.get(e, 0) + 1
-                        symmetric = hi == 1 - lo and all(
-                            counts.get(e, 0) == counts.get(1 - e, 0)
-                            for e in range(lo, hi + 1)
-                        )
-                        unbroken = all(e in counts for e in range(lo, hi + 1))
-                        if not (symmetric and unbroken):
-                            counterexamples.append(
-                                {
-                                    "meander": str(MeanderType(top, bottom)),
-                                    "side": side,
-                                    "block": k,
-                                    "measures": list(ms),
-                                }
-                            )
+                flags = classify(Counter(ms))
+                if not (flags.symmetric and flags.unbroken):
+                    counterexamples.append(
+                        {
+                            "meander": str(MeanderType(top, bottom)),
+                            "side": side,
+                            "block": k,
+                            "measures": list(ms),
+                        }
+                    )
     return ScanReport(
         kind="block-measures",
         parameters={"n_max": n_max},
@@ -334,7 +342,7 @@ def scan_block_measures(n_max: int) -> ScanReport:
     )
 
 
-_CONFIG_KEYS = {"max_coef": int, "n_max": int, "sample_size": int, "seed": int}
+_CONFIG_KEYS = ("max_coef", "n_max", "sample_size", "seed")
 
 
 def load_config(text: str) -> dict:
@@ -351,8 +359,5 @@ def load_config(text: str) -> dict:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ParseError(f"config line {lineno}: bad value {value!r}") from exc
+        out[key] = _parse_uint(value, f"value on config line {lineno}")
     return out

@@ -32,11 +32,11 @@ from fractions import Fraction
 from math import lcm
 
 from .core import (
-    Composition,
     ConsistencyError,
     MeanderType,
     NotFrobeniusError,
     PreconditionError,
+    _block_spans,
     _index,
     _partners,
 )
@@ -77,26 +77,21 @@ class SeaweedPattern:
         return len(self.positions) - 1
 
 
-def _block_of(comp: Composition, n: int) -> list[int]:
-    idx = [0] * (n + 1)
-    pos = 1
-    for b, k in enumerate(comp):
-        for v in range(pos, pos + k):
-            idx[v] = b
-        pos += k
-    return idx
-
-
 def seaweed_positions(m: MeanderType) -> SeaweedPattern:
-    """All positions preserved by both flags of the meander type."""
+    """All positions preserved by both flags of the meander type.
+
+    Row i holds the columns j from the first vertex of i's top block to
+    the last vertex of i's bottom block, in ascending order.
+    """
     n = m.n
-    tb = _block_of(m.top, n)
-    bb = _block_of(m.bottom, n)
+    first = [0] * (n + 1)
+    last = [0] * (n + 1)
+    for p, q in _block_spans(m.top):
+        first[p : q + 1] = [p] * (q - p + 1)
+    for p, q in _block_spans(m.bottom):
+        last[p : q + 1] = [q] * (q - p + 1)
     positions = tuple(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if tb[i] <= tb[j] and bb[i] >= bb[j]
+        (i, j) for i in range(1, n + 1) for j in range(first[i], last[i] + 1)
     )
     return SeaweedPattern(n, positions)
 
@@ -219,13 +214,19 @@ class PrincipalElement:
         return [self.entries.get((i, i), Fraction(0)) for i in range(1, self.n + 1)]
 
 
-def _solve_affine(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Solve A x = b exactly; returns (particular, nullspace basis) or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [rows[r][:] + [rhs[r]] for r in range(nrows)]
+def _gauss_jordan(
+    a: list[list[int]], b: list[list[int]]
+) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
+    """Solve A X = B exactly by Gauss-Jordan elimination over Fraction.
+
+    Row r of b continues row r of a in the augmented matrix [A | B], with
+    one column per right-hand side.  Returns (X, nullspace basis of A), with every free
+    variable of X set to zero, or None when some system is inconsistent.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    zero = Fraction(0)  # shared: most entries are zero, and Fraction is immutable
+    aug = [[Fraction(x) if x else zero for x in a[r] + b[r]] for r in range(nrows)]
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(ncols):
@@ -249,20 +250,21 @@ def _solve_affine(
         if r == nrows:
             break
     for rr in range(r, nrows):
-        if aug[rr][ncols] != 0:
+        if any(aug[rr][ncols:]):
             return None
-    particular = [Fraction(0)] * ncols
+    width = len(aug[0]) - ncols if nrows else 0
+    solution = [[zero] * width for _ in range(ncols)]
     for c, rr in pivot_of_col.items():
-        particular[c] = aug[rr][ncols]
+        solution[c] = aug[rr][ncols:]
     free = [c for c in range(ncols) if c not in pivot_of_col]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
         for c, rr in pivot_of_col.items():
             vec[c] = -aug[rr][fc]
         basis.append(vec)
-    return particular, basis
+    return solution, basis
 
 
 def principal_element(m: MeanderType) -> PrincipalElement:
@@ -281,8 +283,8 @@ def principal_element(m: MeanderType) -> PrincipalElement:
     col = {p: k for k, p in enumerate(pos)}
     f = canonical_functional(m)
     dim = len(pos)
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    rhs = [Fraction(0)] * dim
+    rows = [[0] * dim for _ in range(dim)]
+    rhs = []
     # equation for test position (i, j):
     #   sum_{(k,l)} x_kl * ( [l==i][(k,j) in S] - [k==j][(i,l) in S] ) = [(i,j) in S]
     for r, (i, j) in enumerate(pos):
@@ -294,12 +296,13 @@ def principal_element(m: MeanderType) -> PrincipalElement:
             if k == j and (i, l) in f:
                 v -= 1
             if v:
-                row[cidx] = Fraction(v)
-        rhs[r] = Fraction(1 if (i, j) in f else 0)
-    solved = _solve_affine(rows, rhs)
+                row[cidx] = v
+        rhs.append([1 if (i, j) in f else 0])
+    solved = _gauss_jordan(rows, rhs)
     if solved is None:
         raise PreconditionError("defining equation is inconsistent; not Frobenius")
-    particular, basis = solved
+    solution, basis = solved
+    particular = [row[0] for row in solution]
     if len(basis) != 1:
         raise PreconditionError(
             f"solution space has dimension {len(basis)}, expected a line; not Frobenius"
@@ -402,29 +405,12 @@ def cybe_residual(m: MeanderType) -> bool:
         return True
     f = canonical_functional(m)
     mat = [[_feval(f, _bracket(basis[a], basis[b])) for b in range(dim)] for a in range(dim)]
-    # exact inverse
-    aug = [
-        [Fraction(mat[r][c]) for c in range(dim)]
-        + [Fraction(1 if r == c else 0) for c in range(dim)]
-        for r in range(dim)
-    ]
-    for c in range(dim):
-        piv = None
-        for r in range(c, dim):
-            if aug[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise PreconditionError("Kirillov matrix is degenerate on the sl part")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(dim):
-            if r != c and aug[r][c] != 0:
-                fac = aug[r][c]
-                base = aug[c]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], base)]
-    inv = [[aug[r][dim + c] for c in range(dim)] for r in range(dim)]
+    identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    # A X = I has a solution exactly when the matrix is invertible
+    solved = _gauss_jordan(mat, identity)
+    if solved is None:
+        raise PreconditionError("Kirillov matrix is degenerate on the sl part")
+    inv = solved[0]
     scale = 1
     for row in inv:
         for x in row:

@@ -26,6 +26,7 @@ from .core import (
     MeanderType,
     NotFrobeniusError,
     PreconditionError,
+    _block_spans,
     _index,
     _partners,
 )
@@ -53,15 +54,6 @@ class SpectrumFlags:
     strictly_unimodal: bool
 
 
-def _block_spans(comp: Composition) -> list[tuple[int, int]]:
-    spans = []
-    pos = 1
-    for k in comp:
-        spans.append((pos, pos + k - 1))
-        pos += k
-    return spans
-
-
 def admissible_pairs(m: MeanderType) -> list[tuple[int, int]]:
     """All admissible pairs, top-block pairs (i >= j) then bottom (i < j)."""
     out = []
@@ -79,15 +71,15 @@ def admissible_pairs(m: MeanderType) -> list[tuple[int, int]]:
 def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None], list[int]]:
     """Per-vertex potential phi with phi(head) = phi(tail) + 1 along each arc.
 
-    Returns (phi, cycle_mark) where phi[v] is the potential within v's
-    component (each path component is normalized from one of its ends) and
-    cycle_mark[v] flags vertices on cycle components, where no potential is
-    assigned.
+    Returns (phi, root) where phi[v] is the potential within v's component
+    and root[v] is the path end that component was normalized from, so two
+    vertices share a path exactly when their roots are equal.  Vertices on
+    cycle components get no potential and root 0.
     """
     n = sum(top)
     tp, bp = _partners(top, bottom, n)
     phi: list[int | None] = [None] * (n + 1)
-    on_cycle = [0] * (n + 1)
+    root = [0] * (n + 1)
     seen = bytearray(n + 1)
     for v0 in range(1, n + 1):
         if seen[v0]:
@@ -113,12 +105,12 @@ def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None]
             prev, cur = 0, v0
             while not seen[cur]:
                 seen[cur] = 1
-                on_cycle[cur] = 1
                 nxt = tp[cur] if tp[cur] != prev else bp[cur]
                 prev, cur = cur, nxt
             continue
         phi[start] = 0
         seen[start] = 1
+        root[start] = start
         prev, cur = 0, start
         while True:
             t, b = tp[cur], bp[cur]
@@ -133,8 +125,9 @@ def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None]
             else:
                 break
             seen[nxt] = 1
+            root[nxt] = start
             prev, cur = cur, nxt
-    return phi, on_cycle
+    return phi, root
 
 
 def measure(m: MeanderType, i: int, j: int) -> int:
@@ -146,24 +139,12 @@ def measure(m: MeanderType, i: int, j: int) -> int:
     n = m.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise PreconditionError(f"vertex out of range 1..{n}: ({i}, {j})")
-    phi, on_cycle = _potentials(m.top, m.bottom)
-    if on_cycle[i] or on_cycle[j]:
+    phi, root = _potentials(m.top, m.bottom)
+    if not (root[i] and root[j]):
         raise PreconditionError("measure undefined on a cycle component")
-    if i != j and not _same_component(m, i, j):
+    if root[i] != root[j]:
         raise PreconditionError(f"v{i} and v{j} lie in different components")
     return phi[j] - phi[i]  # type: ignore[operator]
-
-
-def _same_component(m: MeanderType, i: int, j: int) -> bool:
-    tp, bp = _partners(m.top, m.bottom, m.n)
-    for start in (tp[i], bp[i]):
-        prev, cur = i, start
-        while cur:
-            if cur == j:
-                return True
-            nxt = tp[cur] if tp[cur] != prev else bp[cur]
-            prev, cur = cur, nxt
-    return False
 
 
 def _spectrum_raw(top: Composition, bottom: Composition) -> Spectrum:
@@ -236,13 +217,10 @@ def classify(s: Spectrum) -> SpectrumFlags:
 
 
 def _block_measures_raw(
-    top: Composition, bottom: Composition, side: str, k: int
+    phi: list[int | None], span: tuple[int, int], side: str
 ) -> tuple[int, ...]:
-    comp = top if side == "top" else bottom
-    if not (1 <= k <= len(comp)):
-        raise PreconditionError(f"no {side} block {k}")
-    phi, _ = _potentials(top, bottom)
-    p, q = _block_spans(comp)[k - 1]
+    """Sorted measures inside the block spanning span, given the potentials."""
+    p, q = span
     out = [0] * ((q - p + 1) // 2)
     for i in range(p, q + 1):
         fi = phi[i]
@@ -264,7 +242,11 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
     ix = _index(m.top, m.bottom)
     if ix != 0:
         raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
-    return _block_measures_raw(m.top, m.bottom, side, k)
+    comp = m.top if side == "top" else m.bottom
+    if not (1 <= k <= len(comp)):
+        raise PreconditionError(f"no {side} block {k}")
+    phi, _ = _potentials(m.top, m.bottom)
+    return _block_measures_raw(phi, list(_block_spans(comp))[k - 1], side)
 
 
 def spectrum_to_json(s: Spectrum) -> dict:

@@ -58,7 +58,9 @@ from .core import (
     MeanderType,
     ParseError,
     PreconditionError,
+    _block_spans,
     _compositions,
+    _parse_uint,
 )
 
 __all__ = [
@@ -155,58 +157,46 @@ class WindUpError(PreconditionError):
 # ---------------------------------------------------------------------------
 
 
+# A raw step maps (top, bottom) to (tag, c, new_top, new_bottom, undo), where
+# undo encodes the inverting up-move as (tag, c, block).
 def _step_simplified_raw(
     top: Composition, bottom: Composition
-) -> tuple[str, int | None, Composition, Composition]:
+) -> tuple[str, int | None, Composition, Composition, tuple]:
     a1 = top[0]
     b1 = bottom[0]
     if a1 < b1:
-        return "F0", None, bottom, top
+        return "F0", None, bottom, top, ("~F0", None, None)
     if a1 == b1:
-        return "C0", a1, top[1:], bottom[1:]
+        return "C0", a1, top[1:], bottom[1:], ("~C0", a1, None)
     if a1 == 2 * b1:
-        return "B0", None, (b1,) + top[1:], bottom[1:]
+        return "B0", None, (b1,) + top[1:], bottom[1:], ("~B0", None, None)
     if a1 < 2 * b1:
-        return "R0", None, (b1,) + top[1:], (2 * b1 - a1,) + bottom[1:]
-    return "P0", None, (a1 - 2 * b1, b1) + top[1:], bottom[1:]
+        nb = (2 * b1 - a1,) + bottom[1:]
+        return "R0", None, (b1,) + top[1:], nb, ("~R0", None, None)
+    return "P0", None, (a1 - 2 * b1, b1) + top[1:], bottom[1:], ("~P0", None, None)
 
 
-def step_simplified(m: MeanderType) -> tuple[Move, MeanderType]:
-    """One simplified winding-down move; the case is forced by (a1, b1)."""
-    if m.n == 0:
-        raise PreconditionError("cannot wind down the empty meander")
-    tag, c, nt, nb = _step_simplified_raw(m.top, m.bottom)
-    return Move(tag, c), MeanderType(nt, nb)
+def _center_block(a1: int, bottom: Composition) -> tuple[int, int, int]:
+    """(i, p, q): the first bottom block B_i (0-based) whose span p..q
+    reaches the center of the first top block.
 
-
-def signature_simplified(m: MeanderType) -> list[Move]:
-    """Reduce m to the empty meander; the unique simplified signature."""
-    if m.n == 0:
-        raise PreconditionError("the empty meander has the empty signature")
-    top, bottom = m.top, m.bottom
-    sig = []
-    while top:
-        tag, c, top, bottom = _step_simplified_raw(top, bottom)
-        sig.append(Move(tag, c))
-    return sig
-
-
-def _block_spans(comp: Composition) -> list[tuple[int, int]]:
-    spans = []
-    pos = 1
-    for k in comp:
-        spans.append((pos, pos + k - 1))
-        pos += k
-    return spans
+    Doubled coordinates: vertex v sits at 2v, the center at a1 + 1.  The
+    block contains the center when 2p <= a1 + 1; otherwise a1 is even and
+    the center is the gap after block i - 1, which ends at a1/2.
+    """
+    i = 0
+    p = 1
+    while True:
+        q = p + bottom[i] - 1
+        if 2 * q > a1:
+            return i, p, q
+        i += 1
+        p = q + 1
 
 
 def _step_refined_raw(
     top: Composition, bottom: Composition
 ) -> tuple[str, int | None, Composition, Composition, tuple]:
-    """Returns (tag, c, new_top, new_bottom, undo) at tuple level.
-
-    undo encodes the inverting up-move as (tag, c, block).
-    """
     a1 = top[0]
     b1 = bottom[0]
     if a1 < b1:
@@ -220,40 +210,21 @@ def _step_refined_raw(
         nb = (2 * b1 - a1,) + bottom[1:]
         return "R", None, nt, nb, ("~R", None, None)
 
-    # a1 > 2*b1: locate the bottom block around the center of A1.
-    # Doubled coordinates: vertex v sits at 2v, the center at c2 = a1 + 1.
-    c2 = a1 + 1
-    pos = 1
-    i = 0
-    p = q = 0
-    found = False
-    for k in bottom:
-        p, q = pos, pos + k - 1
-        if 2 * p <= c2 <= 2 * q:
-            found = True
-            break
-        pos += k
-        i += 1
-    if not found:
-        # a1 even and the center gap is a gap between bottom blocks:
-        # remove the block ending at a1/2.
-        half = a1 // 2
-        pos = 1
-        for i, k in enumerate(bottom):
-            if pos + k - 1 == half:
-                nt = (a1 - k,) + top[1:]
-                nb = bottom[:i] + bottom[i + 1 :]
-                # reinsert in front of the block that now has index i+1
-                return "IB", None, nt, nb, ("~IB", None, i + 1)
-            pos += k
-        raise AssertionError("refined dispatch: no block at the center gap")
+    # a1 > 2*b1: the bottom block around the center of A1 decides.
+    i, p, q = _center_block(a1, bottom)
+    if 2 * p > a1 + 1:
+        # the center is a gap between bottom blocks: remove the block
+        # ending at a1/2 and reinsert it in front of the block now at i + 1
+        nt = (a1 - bottom[i - 1],) + top[1:]
+        nb = bottom[: i - 1] + bottom[i:]
+        return "IB", None, nt, nb, ("~IB", None, i)
 
     bi = bottom[i]
     if p + q == a1 + 1:
         nt = (a1 - bi,) + top[1:]
         nb = bottom[:i] + bottom[i + 1 :]
         return "IC", bi, nt, nb, ("~IC", bi, None)
-    r2 = min(abs(2 * p - c2), abs(2 * q - c2))
+    r2 = min(abs(2 * p - a1 - 1), abs(2 * q - a1 - 1))
     s = r2 + 1
     delta = bi - s
     if a1 - delta < 1:
@@ -267,32 +238,49 @@ def _step_refined_raw(
     return "IR", None, nt, nb, ("~IR", None, i + 1)
 
 
-def step_refined(m: MeanderType) -> tuple[Move, MeanderType]:
-    """One refined winding-down move; see the module docstring for cases."""
+def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     if m.n == 0:
         raise PreconditionError("cannot wind down the empty meander")
-    tag, c, nt, nb, _ = _step_refined_raw(m.top, m.bottom)
-    return Move(tag, c), MeanderType(nt, nb)
+    tag, c, nt, nb, undo = step_raw(m.top, m.bottom)
+    return Move(tag, c), MeanderType(nt, nb), UpMove(*undo)
+
+
+def _reduce(top: Composition, bottom: Composition, step_raw) -> list[Move]:
+    """Apply step_raw until the meander is empty; the moves taken."""
+    if not top:
+        raise PreconditionError("the empty meander has the empty signature")
+    sig = []
+    while top:
+        tag, c, top, bottom, _ = step_raw(top, bottom)
+        sig.append(Move(tag, c))
+    return sig
+
+
+def step_simplified(m: MeanderType) -> tuple[Move, MeanderType]:
+    """One simplified winding-down move; the case is forced by (a1, b1)."""
+    move, result, _ = _step(m, _step_simplified_raw)
+    return move, result
+
+
+def signature_simplified(m: MeanderType) -> list[Move]:
+    """Reduce m to the empty meander; the unique simplified signature."""
+    return _reduce(m.top, m.bottom, _step_simplified_raw)
+
+
+def step_refined(m: MeanderType) -> tuple[Move, MeanderType]:
+    """One refined winding-down move; see the module docstring for cases."""
+    move, result, _ = _step(m, _step_refined_raw)
+    return move, result
 
 
 def step_refined_full(m: MeanderType) -> RefinedStep:
     """Like step_refined, also returning the exact inverting up-move."""
-    if m.n == 0:
-        raise PreconditionError("cannot wind down the empty meander")
-    tag, c, nt, nb, (utag, uc, ublock) = _step_refined_raw(m.top, m.bottom)
-    return RefinedStep(Move(tag, c), MeanderType(nt, nb), UpMove(utag, uc, ublock))
+    return RefinedStep(*_step(m, _step_refined_raw))
 
 
 def signature_refined(m: MeanderType) -> list[Move]:
     """Reduce m to the empty meander over the refined alphabet."""
-    if m.n == 0:
-        raise PreconditionError("the empty meander has the empty signature")
-    top, bottom = m.top, m.bottom
-    sig = []
-    while top:
-        tag, c, top, bottom, _ = _step_refined_raw(top, bottom)
-        sig.append(Move(tag, c))
-    return sig
+    return _reduce(m.top, m.bottom, _step_refined_raw)
 
 
 def index_from_signature(sig: Sequence[Move]) -> int:
@@ -400,26 +388,19 @@ def _apply_up_raw(
             raise PreconditionError("~IC needs a positive size")
         if a1 % 2:
             raise PreconditionError("~IC requires an even first top block")
-        half = a1 // 2
-        pos = 1
-        for j, k in enumerate(bottom):
-            end = pos + k - 1
-            if end == half:
-                nb = bottom[: j + 1] + (c,) + bottom[j + 1 :]
-                return (a1 + c,) + top[1:], nb
-            if end > half:
-                break
-            pos += k
-        raise PreconditionError(
-            "~IC requires the vertex a1/2 to end a bottom block"
-        )
+        i, p, _ = _center_block(a1, bottom)
+        if 2 * p <= a1 + 1:
+            raise PreconditionError(
+                "~IC requires the vertex a1/2 to end a bottom block"
+            )
+        return (a1 + c,) + top[1:], bottom[:i] + (c,) + bottom[i:]
     if tag == "~IB":
         if block is None:
             raise PreconditionError("~IB needs a target block index")
         if block < 2 or block > len(bottom):
             raise PreconditionError(f"~IB block index {block} out of range")
-        k_start = 1 + sum(bottom[: block - 1])
-        size = a1 - 2 * (k_start - 1)
+        p, _ = list(_block_spans(bottom))[block - 1]
+        size = a1 - 2 * (p - 1)
         if size < 1:
             raise PreconditionError(
                 f"~IB target block starts too far right (would create size {size})"
@@ -427,23 +408,18 @@ def _apply_up_raw(
         nb = bottom[: block - 1] + (size,) + bottom[block - 1 :]
         return (a1 + size,) + top[1:], nb
     if tag == "~IR":
-        spans = _block_spans(bottom)
-        if block is not None:
-            if block < 1 or block > len(bottom):
-                raise PreconditionError(f"~IR block index {block} out of range")
-            j = block
-        else:
-            c2 = a1 + 1
-            j = 0
-            for jj, (p, q) in enumerate(spans, start=1):
-                if 2 * p <= c2 <= 2 * q:
-                    j = jj
-                    break
-            if not j:
+        if block is None:
+            i, p, _ = _center_block(a1, bottom)
+            if 2 * p > a1 + 1:
                 raise PreconditionError(
                     "~IR: no bottom block contains the center of the first top block"
                 )
-        p, _ = spans[j - 1]
+            j = i + 1
+        elif 1 <= block <= len(bottom):
+            j = block
+            p, _ = list(_block_spans(bottom))[j - 1]
+        else:
+            raise PreconditionError(f"~IR block index {block} out of range")
         bj = bottom[j - 1]
         delta = a1 + 2 - 2 * p - bj
         if delta < 0:
@@ -530,9 +506,8 @@ def _valid_up_moves(top: Composition, bottom: Composition) -> list[UpMove]:
     out = [UpMove("~F"), UpMove("~B")]
     if a1 > bottom[0]:
         out.append(UpMove("~R"))
-    for b in range(2, len(bottom) + 1):
-        k_start = 1 + sum(bottom[: b - 1])
-        if a1 - 2 * (k_start - 1) >= 1:
+    for b, (p, _) in enumerate(_block_spans(bottom), start=1):
+        if b > 1 and a1 - 2 * (p - 1) >= 1:
             out.append(UpMove("~IB", block=b))
     for j in range(1, len(bottom) + 1):
         try:
@@ -565,7 +540,19 @@ def generate_frobenius(moves: int, seed: int) -> MeanderType:
 # Textual form (the golden-test format)
 # ---------------------------------------------------------------------------
 
-_MOVE_RE = re.compile(r"^(~?[A-Z]+0?)(?:\((\d+)\))?$")
+# the parameter in parentheses is left to _parse_uint
+_MOVE_RE = re.compile(r"^(~?[A-Z]+0?)(?:\((.*)\))?$")
+
+
+def _match_move(token: str, up: bool) -> tuple[str, int | None]:
+    """(tag, parameter) of one move token, hatted exactly when up is true."""
+    m = _MOVE_RE.match(token)
+    if not m or m.group(1).startswith("~") != up:
+        raise ParseError(f"bad {'up-move' if up else 'move'} token {token!r}")
+    tag, param = m.groups()
+    if param is None:
+        return tag, None
+    return tag, _parse_uint(param, f"parameter in {token!r}")
 
 
 def signature_to_text(sig: Sequence[Move]) -> str:
@@ -575,11 +562,7 @@ def signature_to_text(sig: Sequence[Move]) -> str:
 def parse_signature(text: str) -> list[Move]:
     out = []
     for token in text.split():
-        m = _MOVE_RE.match(token)
-        if not m or m.group(1).startswith("~"):
-            raise ParseError(f"bad move token {token!r}")
-        tag, param = m.group(1), m.group(2)
-        out.append(Move(tag, int(param) if param else None))
+        out.append(Move(*_match_move(token, up=False)))
     return out
 
 
@@ -595,22 +578,19 @@ _UP_TAGS = frozenset(
 def parse_up_moves(text: str) -> list[UpMove]:
     out = []
     for token in text.split():
-        m = _MOVE_RE.match(token)
-        if not m or not m.group(1).startswith("~"):
-            raise ParseError(f"bad up-move token {token!r}")
-        tag, param = m.group(1), m.group(2)
+        tag, param = _match_move(token, up=True)
         if tag not in _UP_TAGS:
             raise ParseError(f"unknown up-move {tag!r}")
         if tag in ("~C", "~C0", "~IC"):
             if param is None:
                 raise ParseError(f"{tag} needs a size parameter: {token!r}")
-            out.append(UpMove(tag, c=int(param)))
+            out.append(UpMove(tag, c=param))
         elif tag == "~IB":
             if param is None:
                 raise ParseError(f"{tag} needs a block index: {token!r}")
-            out.append(UpMove(tag, block=int(param)))
+            out.append(UpMove(tag, block=param))
         elif tag == "~IR":
-            out.append(UpMove(tag, block=int(param) if param else None))
+            out.append(UpMove(tag, block=param))
         elif param is not None:
             raise ParseError(f"up-move {tag} takes no parameter: {token!r}")
         else:

@@ -66,6 +66,22 @@ def test_parse_error_exit_one():
     assert code == 1
 
 
+def test_unicode_digits_exit_one():
+    # str.isdigit and the re module's \d accept these; int() rejects "²"
+    cases = (["index", "²/2"], ["enumerate", "²"], ["index", "٣/٣"], ["generate", "~C0(٣)"])
+    for argv in cases:
+        code, out, err = call(*argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_workers_only_on_search_gcd():
+    assert call("enumerate", "3", "--workers", "2")[0] == 1
+    assert call("search", "blocks", "--n-max", "3", "--workers", "2")[0] == 1
+    assert call("search", "unimodality", "--n-max", "3", "--workers", "2")[0] == 1
+    code, out, _ = call("search", "gcd", "--max-coef", "1", "--n-max", "7", "--workers", "2")
+    assert code == 0 and json.loads(out)["survivors"] == []
+
+
 def test_check_verb():
     assert call("check", "6|1/2|3|2") == (0, "frobenius index=0\n", "")
     code, out, _ = call("check", "16|2|4/5|17")

@@ -27,7 +27,9 @@ def test_parse_rejects_sum_mismatch():
         parse_type("1|2/4")
 
 
-@pytest.mark.parametrize("bad", ["", "1|2", "1|2/3/4", "0|3/3", "1|-2/3", "a/3", "1||2/4"])
+@pytest.mark.parametrize(
+    "bad", ["", "1|2", "1|2/3/4", "0|3/3", "1|-2/3", "a/3", "1||2/4", "²/2", "٣/٣"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_type(bad)

@@ -107,3 +107,5 @@ def test_load_config_rejects_bad_lines():
         load_config("unknown = 3")
     with pytest.raises(ParseError):
         load_config("n_max = twelve")
+    with pytest.raises(ParseError):
+        load_config("n_max = ٣")

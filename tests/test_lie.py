@@ -20,6 +20,8 @@ from meanderkit import (
     spectrum,
 )
 
+from meanderkit.lie import _bracket, _feval, _gauss_jordan, _sl_basis
+
 from conftest import random_meander
 
 
@@ -145,3 +147,34 @@ def test_cybe_residual_golden():
 def test_cybe_rejects_non_frobenius():
     with pytest.raises(NotFrobeniusError):
         cybe_residual(parse_type("3/3"))
+
+
+def test_gauss_jordan_inverts_cybe_kirillov_matrix():
+    for text in ("1|2/3", "1|4/2|3", "6|1/2|3|2", "2|3/5"):
+        m = parse_type(text)
+        basis = _sl_basis(m)
+        f = canonical_functional(m)
+        a = [[_feval(f, _bracket(x, y)) for y in basis] for x in basis]
+        dim = len(a)
+        identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        inv, nullspace = _gauss_jordan(a, identity)
+        assert nullspace == []
+        product = [
+            [sum(a[r][k] * inv[k][c] for k in range(dim)) for c in range(dim)]
+            for r in range(dim)
+        ]
+        assert product == identity
+
+
+def test_gauss_jordan_inconsistent_and_singular():
+    # x + y = 1 and 2x + 2y = 3 have no common solution
+    assert _gauss_jordan([[1, 1], [2, 2]], [[1], [3]]) is None
+    # rank one in three unknowns: a particular solution and a plane of kernel
+    a = [[1, 2, 3], [2, 4, 6]]
+    x, nullspace = _gauss_jordan(a, [[6], [12]])
+    assert len(nullspace) == 2
+    for vec in [[row[0] for row in x]] + nullspace:
+        assert all(isinstance(v, Fraction) for v in vec)
+    assert [sum(a[r][c] * x[c][0] for c in range(3)) for r in range(2)] == [6, 12]
+    for vec in nullspace:
+        assert [sum(a[r][c] * vec[c] for c in range(3)) for r in range(2)] == [0, 0]
