@@ -88,8 +88,8 @@ class _Args:
         if name not in self.options:
             return default
         try:
-            return int(self.options[name])
-        except ValueError:
+            return _parse_uint(self.options[name], f"option {name}")
+        except ParseError:
             raise _Usage(f"option {name} needs an integer, got {self.options[name]!r}")
 
 
@@ -344,8 +344,8 @@ def _cmd_family(argv, out, err) -> int:
     values = []
     for p in args.positional:
         try:
-            values.append(int(p))
-        except ValueError:
+            values.append(_parse_uint(p, "family argument"))
+        except ParseError:
             raise _Usage(f"family arguments must be integers, got {p!r}")
     if sub == "parabolic":
         if len(values) != 3:

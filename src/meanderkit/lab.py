@@ -15,6 +15,10 @@ spectrum shape:
   Frobenius meander are symmetric about one half and unbroken.  This one is
   a proven fact, so a counterexample is a bug in this package.
 
+The last two take their meanders from the reverse search in winding, which
+generates the Frobenius meanders alone, so they cost in proportion to the
+meanders they check rather than to all 4^(n-1) pairs of order n.
+
 All scans are exhaustive over their stated range and produce reports that
 are reproducible bit for bit given the same parameters (wall-clock time is
 carried separately and excluded from comparisons).
@@ -29,7 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
-from typing import Iterator
 
 from .core import (
     Composition,
@@ -42,6 +45,7 @@ from .core import (
     _parse_uint,
 )
 from .spectrum import _block_measures_raw, _potentials, _spectrum_raw, classify
+from .winding import _frobenius_tree
 
 __all__ = [
     "GcdCondition",
@@ -251,18 +255,13 @@ def search_gcd_conditions(
     )
 
 
-def _frobenius_pairs(n_max: int) -> Iterator[tuple[Composition, Composition]]:
+def _frobenius_pairs(n_max: int) -> list[tuple[Composition, Composition]]:
     """(top, bottom) of every Frobenius meander with order <= n_max.
 
     Orders ascend, and within one order the pairs come in lexicographic
     order, top-major.
     """
-    for n in range(1, n_max + 1):
-        comps = _compositions(n)
-        for top in comps:
-            for bottom in comps:
-                if _index(top, bottom) == 0:
-                    yield top, bottom
+    return sorted(_frobenius_tree(n_max), key=lambda tb: (sum(tb[0]), tb))
 
 
 def scan_unimodality(n_max: int) -> ScanReport:

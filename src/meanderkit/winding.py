@@ -44,6 +44,22 @@ prefix: ``~C0(2) ~B0 ...``), so replaying a reversed signature from the
 empty meander rebuilds the meander.  The up-moves double as free
 constructors, which is how ``generate_frobenius`` manufactures index-zero
 meanders of any size.
+
+The simplified down-step also makes the Frobenius meanders a tree, which
+``_frobenius_tree`` walks by reverse search (Avis and Fukuda, 1996).  The
+root is 1/1, whose signature is C0(1) alone; the parent of any other
+Frobenius meander is its simplified down-step, which is never a C0 (a C0
+that leaves a meander would be followed by another).  The children of a
+meander are the results of ~F0, ~B0, ~R0 and ~P0 whose own down-step
+gives back that tag and exactly the meander, so each Frobenius meander
+is reached once, from its parent.  Pruning every child of order
+above the bound loses nothing: the down-step is deterministic, no step
+raises the order, so every ancestor of a meander within the bound is
+within it too, and every non-flip up-move raises the order.  A flip child
+is accepted only when a1 > b1, and never twice in a row.  The walk
+therefore costs a constant number of up- and down-steps per meander
+found, against one component walk per candidate, 4**(n-1) of them at
+order n, for a filter by index.
 """
 
 from __future__ import annotations
@@ -495,6 +511,34 @@ def enumerate_meanders(n: int) -> Iterator[MeanderType]:
     for top in comps:
         for bottom in comps:
             yield MeanderType(top, bottom)
+
+
+def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
+    """(top, bottom) of every Frobenius meander of order <= n_max, once each.
+
+    Reverse search from 1/1; see the module docstring.  The pairs come in
+    depth-first order, not sorted.
+    """
+    if n_max < 1:
+        return
+    stack = [((1,), (1,), 1)]
+    while stack:
+        top, bottom, n = stack.pop()
+        yield top, bottom
+        a1 = top[0]
+        # (tag, order of the child) for each up-move whose precondition holds
+        kids = [("F0", n), ("B0", n + a1)]
+        if a1 > bottom[0]:
+            kids.append(("R0", n + a1 - bottom[0]))
+        if len(top) > 1:
+            kids.append(("P0", n + top[1]))
+        for tag, order in kids:
+            if order > n_max:
+                continue
+            ct, cb = _apply_up_raw("~" + tag, None, None, top, bottom)
+            down, _, pt, pb, _ = _step_simplified_raw(ct, cb)
+            if down == tag and pt == top and pb == bottom:
+                stack.append((ct, cb, order))
 
 
 _GENERATOR_TAGS = ("~F", "~B", "~R", "~IB", "~IR")

@@ -68,8 +68,27 @@ def test_parse_error_exit_one():
 
 def test_unicode_digits_exit_one():
     # str.isdigit and the re module's \d accept these; int() rejects "²"
-    cases = (["index", "²/2"], ["enumerate", "²"], ["index", "٣/٣"], ["generate", "~C0(٣)"])
+    cases = (
+        ["index", "²/2"],
+        ["enumerate", "²"],
+        ["index", "٣/٣"],
+        ["generate", "~C0(٣)"],
+        ["generate", "--moves", "٣", "--seed", "1"],
+        ["family", "parabolic", "٢", "1", "٣"],
+    )
     for argv in cases:
+        code, out, err = call(*argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_signed_numbers_exit_one():
+    for argv in (
+        ["generate", "--moves", "-1", "--seed", "1"],
+        ["generate", "--moves", "3", "--seed", "-1"],
+        ["generate", "--moves", "+3"],
+        ["family", "parabolic", "2", "-1", "3"],
+        ["search", "unimodality", "--n-max", "-3"],
+    ):
         code, out, err = call(*argv)
         assert (code, out) == (1, "") and err.startswith("error: ")
 
@@ -145,6 +164,7 @@ def test_oracle_verbs():
 def test_family_verbs():
     assert call("family", "parabolic", "2", "1", "3")[1] == "2|3/5\n"
     assert call("family", "biparabolic", "2", "3", "1", "1")[1] == "2|2|3/5|2\n"
+    assert call("family", "biparabolic", "2", "3", "0", "1")[:2] == (0, "2|3/3|2\n")
     code, _, _ = call("family", "parabolic", "2", "1", "4")
     assert code == 2
 

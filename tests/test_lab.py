@@ -1,6 +1,9 @@
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanderkit import (
     GcdCondition,
@@ -13,6 +16,9 @@ from meanderkit import (
     scan_unimodality,
     search_gcd_conditions,
 )
+from meanderkit.core import MeanderType, _compositions, _index
+from meanderkit.lab import _frobenius_pairs
+from meanderkit.winding import is_frobenius, signature_simplified
 
 
 def test_condition_validation():
@@ -109,3 +115,59 @@ def test_load_config_rejects_bad_lines():
         load_config("n_max = twelve")
     with pytest.raises(ParseError):
         load_config("n_max = ٣")
+
+
+# Frobenius meanders of order 1..10; 275 to order 7 and 8 609 to order 12
+FROBENIUS_PER_ORDER = (1, 2, 6, 14, 34, 68, 150, 296, 586, 1140)
+
+
+def test_frobenius_pairs_match_brute_filter():
+    # the slow route: every pair of compositions, kept when its index is 0
+    brute = [
+        (top, bottom)
+        for n in range(1, 11)
+        for top in _compositions(n)
+        for bottom in _compositions(n)
+        if _index(top, bottom) == 0
+    ]
+    for n_max in range(1, 11):
+        assert _frobenius_pairs(n_max) == [tb for tb in brute if sum(tb[0]) <= n_max]
+    counts = [sum(1 for top, _ in brute if sum(top) == n) for n in range(1, 11)]
+    assert tuple(counts) == FROBENIUS_PER_ORDER
+    assert len(_frobenius_pairs(12)) == 8609
+    assert _frobenius_pairs(0) == []
+
+
+@lru_cache(maxsize=None)
+def _frobenius_to_12():
+    pairs = _frobenius_pairs(12)
+    return pairs, frozenset(pairs)
+
+
+@st.composite
+def _meanders(draw):
+    """A meander of order <= 12; half of the draws are Frobenius ones."""
+    if draw(st.booleans()):
+        pairs, _ = _frobenius_to_12()
+        return MeanderType(*pairs[draw(st.integers(0, len(pairs) - 1))])
+    n = draw(st.integers(1, 12))
+
+    def composition():
+        cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        return tuple(parts + [run])
+
+    return MeanderType(composition(), composition())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_meanders())
+def test_frobenius_membership_agrees(m):
+    in_tree = (m.top, m.bottom) in _frobenius_to_12()[1]
+    assert in_tree == (_index(m.top, m.bottom) == 0)
+    assert in_tree == is_frobenius(signature_simplified(m))
