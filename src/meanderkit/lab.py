@@ -255,13 +255,11 @@ def search_gcd_conditions(
     )
 
 
-def _frobenius_pairs(n_max: int) -> list[tuple[Composition, Composition]]:
-    """(top, bottom) of every Frobenius meander with order <= n_max.
-
-    Orders ascend, and within one order the pairs come in lexicographic
-    order, top-major.
-    """
-    return sorted(_frobenius_tree(n_max), key=lambda tb: (sum(tb[0]), tb))
+def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[dict]:
+    """The records of (top, bottom, record) triples, stably sorted by order
+    and then lexicographically, top-major: the order of a scan's report."""
+    found.sort(key=lambda item: (sum(item[0]), item[0], item[1]))
+    return [record for _, _, record in found]
 
 
 def scan_unimodality(n_max: int) -> ScanReport:
@@ -274,9 +272,9 @@ def scan_unimodality(n_max: int) -> ScanReport:
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     t0 = time.monotonic()
-    counterexamples = []
+    found = []
     checked = 0
-    for top, bottom in _frobenius_pairs(n_max):
+    for top, bottom in _frobenius_tree(n_max):
         checked += 1
         dims = _spectrum_raw(top, bottom)
         flags = classify(dims)
@@ -285,18 +283,17 @@ def scan_unimodality(n_max: int) -> ScanReport:
                 f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
             )
         if not (flags.unimodal and flags.strictly_unimodal):
-            counterexamples.append(
-                {
-                    "meander": str(MeanderType(top, bottom)),
-                    "spectrum": {str(e): d for e, d in sorted(dims.items())},
-                    "unimodal": flags.unimodal,
-                    "strictly_unimodal": flags.strictly_unimodal,
-                }
-            )
+            record = {
+                "meander": str(MeanderType(top, bottom)),
+                "spectrum": {str(e): d for e, d in sorted(dims.items())},
+                "unimodal": flags.unimodal,
+                "strictly_unimodal": flags.strictly_unimodal,
+            }
+            found.append((top, bottom, record))
     return ScanReport(
         kind="unimodality",
         parameters={"n_max": n_max},
-        counterexamples=counterexamples,
+        counterexamples=_in_scan_order(found),
         checked=checked,
         elapsed=time.monotonic() - t0,
     )
@@ -312,9 +309,9 @@ def scan_block_measures(n_max: int) -> ScanReport:
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     t0 = time.monotonic()
-    counterexamples = []
+    found = []
     checked = 0
-    for top, bottom in _frobenius_pairs(n_max):
+    for top, bottom in _frobenius_tree(n_max):
         checked += 1
         phi, _ = _potentials(top, bottom)
         for side, comp in (("top", top), ("bottom", bottom)):
@@ -324,18 +321,17 @@ def scan_block_measures(n_max: int) -> ScanReport:
                     continue
                 flags = classify(Counter(ms))
                 if not (flags.symmetric and flags.unbroken):
-                    counterexamples.append(
-                        {
-                            "meander": str(MeanderType(top, bottom)),
-                            "side": side,
-                            "block": k,
-                            "measures": list(ms),
-                        }
-                    )
+                    record = {
+                        "meander": str(MeanderType(top, bottom)),
+                        "side": side,
+                        "block": k,
+                        "measures": list(ms),
+                    }
+                    found.append((top, bottom, record))
     return ScanReport(
         kind="block-measures",
         parameters={"n_max": n_max},
-        counterexamples=counterexamples,
+        counterexamples=_in_scan_order(found),
         checked=checked,
         elapsed=time.monotonic() - t0,
     )

@@ -45,6 +45,18 @@ empty meander rebuilds the meander.  The up-moves double as free
 constructors, which is how ``generate_frobenius`` manufactures index-zero
 meanders of any size.
 
+Inside this module each composition is held as a stack: a list in
+reverse order, whose last entry is the first block.  Every move touches
+only the first blocks, except the refined internal moves, so a down- or
+up-move appends, pops or rewrites the end of a stack in O(1), and a flip
+swaps the two stacks without copying them.  Building a signature
+therefore costs in proportion to its length, with one exception: IC, IB
+and IR (and their up-moves) still search the bottom blocks up to the
+center of the first top block, O(blocks up to the center) per move, and
+remove or insert their block at that position, which costs no more than
+the search.  The public functions take and return tuple-based
+``MeanderType`` values and convert at their boundary.
+
 The simplified down-step also makes the Frobenius meanders a tree, which
 ``_frobenius_tree`` walks by reverse search (Avis and Fukuda, 1996).  The
 root is 1/1, whose signature is C0(1) alone; the parent of any other
@@ -52,14 +64,20 @@ Frobenius meander is its simplified down-step, which is never a C0 (a C0
 that leaves a meander would be followed by another).  The children of a
 meander are the results of ~F0, ~B0, ~R0 and ~P0 whose own down-step
 gives back that tag and exactly the meander, so each Frobenius meander
-is reached once, from its parent.  Pruning every child of order
-above the bound loses nothing: the down-step is deterministic, no step
-raises the order, so every ancestor of a meander within the bound is
-within it too, and every non-flip up-move raises the order.  A flip child
-is accepted only when a1 > b1, and never twice in a row.  The walk
-therefore costs a constant number of up- and down-steps per meander
-found, against one component walk per candidate, 4**(n-1) of them at
-order n, for a filter by index.
+is reached once, from its parent.  The case table says which they are.
+~B0 gives (2a1, a2, ...)/(a1, b1, ...), whose down-step is B0 since
+2a1 = 2b1'.  ~R0, defined when a1 > b1, gives (2a1-b1, a2, ...)/(a1,
+b2, ...), where b1' < a1' < 2b1', so R0.  ~P0, defined when there are
+two top blocks, gives (a1+2a2, a3, ...)/(a2, b1, ...), where a1' > 2b1',
+so P0.  Each of the three steps back down to exactly the meander, so it
+is a child whenever it is defined.  The flip (bottom, top) steps down by
+F0 exactly when a1 > b1; then its own a1' < b1', so no flip is taken
+twice in a row.  Pruning every child of order above the bound loses
+nothing: the down-step is deterministic, no step raises the order, so
+every ancestor of a meander within the bound is within it too, and every
+non-flip up-move raises the order.  The walk therefore costs a constant
+number of tuple operations per meander found, against one component walk
+per candidate, 4**(n-1) of them at order n, for a filter by index.
 """
 
 from __future__ import annotations
@@ -74,7 +92,6 @@ from .core import (
     MeanderType,
     ParseError,
     PreconditionError,
-    _block_spans,
     _compositions,
     _parse_uint,
 )
@@ -158,6 +175,15 @@ class RefinedStep:
     undo: UpMove
 
 
+# The moves without a parameter are shared, built and validated once.
+_MOVES = {
+    tag: Move(tag) for tag in SIMPLIFIED_TAGS + REFINED_TAGS if tag not in _PARAMETRIC
+}
+_UP_MOVES = {
+    "~" + tag: UpMove("~" + tag) for tag in ("F0", "B0", "R0", "P0", "F", "B", "R", "P")
+}
+
+
 class WindUpError(PreconditionError):
     """An up-move's precondition failed; carries the 1-based step index."""
 
@@ -173,102 +199,121 @@ class WindUpError(PreconditionError):
 # ---------------------------------------------------------------------------
 
 
-# A raw step maps (top, bottom) to (tag, c, new_top, new_bottom, undo), where
-# undo encodes the inverting up-move as (tag, c, block).
+# Inside this module a composition is held as a stack: a list in reverse
+# order, whose last entry is the first block.  A raw step maps the stacks
+# (top, bottom) to (tag, c, new_top, new_bottom, undo), changing them in
+# place; a flip returns them swapped.  undo encodes the inverting up-move
+# as (tag, c, block).
 def _step_simplified_raw(
-    top: Composition, bottom: Composition
-) -> tuple[str, int | None, Composition, Composition, tuple]:
-    a1 = top[0]
-    b1 = bottom[0]
+    top: list[int], bottom: list[int]
+) -> tuple[str, int | None, list[int], list[int], tuple]:
+    a1 = top[-1]
+    b1 = bottom[-1]
     if a1 < b1:
         return "F0", None, bottom, top, ("~F0", None, None)
     if a1 == b1:
-        return "C0", a1, top[1:], bottom[1:], ("~C0", a1, None)
+        top.pop()
+        bottom.pop()
+        return "C0", a1, top, bottom, ("~C0", a1, None)
+    top[-1] = b1
     if a1 == 2 * b1:
-        return "B0", None, (b1,) + top[1:], bottom[1:], ("~B0", None, None)
+        bottom.pop()
+        return "B0", None, top, bottom, ("~B0", None, None)
     if a1 < 2 * b1:
-        nb = (2 * b1 - a1,) + bottom[1:]
-        return "R0", None, (b1,) + top[1:], nb, ("~R0", None, None)
-    return "P0", None, (a1 - 2 * b1, b1) + top[1:], bottom[1:], ("~P0", None, None)
+        bottom[-1] = 2 * b1 - a1
+        return "R0", None, top, bottom, ("~R0", None, None)
+    top.append(a1 - 2 * b1)
+    bottom.pop()
+    return "P0", None, top, bottom, ("~P0", None, None)
 
 
-def _center_block(a1: int, bottom: Composition) -> tuple[int, int, int]:
-    """(i, p, q): the first bottom block B_i (0-based) whose span p..q
-    reaches the center of the first top block.
+def _center_block(a1: int, bottom: list[int]) -> tuple[int, int, int]:
+    """(k, p, q): the first bottom block, at stack index k, whose span
+    p..q reaches the center of the first top block.
 
     Doubled coordinates: vertex v sits at 2v, the center at a1 + 1.  The
     block contains the center when 2p <= a1 + 1; otherwise a1 is even and
-    the center is the gap after block i - 1, which ends at a1/2.
+    the center is the gap after the block at k + 1, which ends at a1/2.
     """
-    i = 0
+    k = len(bottom) - 1
     p = 1
     while True:
-        q = p + bottom[i] - 1
+        q = p + bottom[k] - 1
         if 2 * q > a1:
-            return i, p, q
-        i += 1
+            return k, p, q
+        k -= 1
         p = q + 1
 
 
 def _step_refined_raw(
-    top: Composition, bottom: Composition
-) -> tuple[str, int | None, Composition, Composition, tuple]:
-    a1 = top[0]
-    b1 = bottom[0]
+    top: list[int], bottom: list[int]
+) -> tuple[str, int | None, list[int], list[int], tuple]:
+    a1 = top[-1]
+    b1 = bottom[-1]
     if a1 < b1:
         return "F", None, bottom, top, ("~F", None, None)
     if a1 == b1:
-        return "C", a1, top[1:], bottom[1:], ("~C", a1, None)
+        top.pop()
+        bottom.pop()
+        return "C", a1, top, bottom, ("~C", a1, None)
     if a1 == 2 * b1:
-        return "B", None, (b1,) + top[1:], bottom[1:], ("~B", None, None)
+        top[-1] = b1
+        bottom.pop()
+        return "B", None, top, bottom, ("~B", None, None)
     if a1 < 2 * b1:
-        nt = (b1,) + top[1:]
-        nb = (2 * b1 - a1,) + bottom[1:]
-        return "R", None, nt, nb, ("~R", None, None)
+        top[-1] = b1
+        bottom[-1] = 2 * b1 - a1
+        return "R", None, top, bottom, ("~R", None, None)
 
-    # a1 > 2*b1: the bottom block around the center of A1 decides.
-    i, p, q = _center_block(a1, bottom)
+    # a1 > 2*b1: the bottom block around the center of A1 decides; it is
+    # block i = len(bottom) - 1 - k counting from the front, from 0.
+    k, p, q = _center_block(a1, bottom)
     if 2 * p > a1 + 1:
         # the center is a gap between bottom blocks: remove the block
         # ending at a1/2 and reinsert it in front of the block now at i + 1
-        nt = (a1 - bottom[i - 1],) + top[1:]
-        nb = bottom[: i - 1] + bottom[i:]
-        return "IB", None, nt, nb, ("~IB", None, i)
+        i = len(bottom) - 1 - k
+        top[-1] = a1 - bottom[k + 1]
+        del bottom[k + 1]
+        return "IB", None, top, bottom, ("~IB", None, i)
 
-    bi = bottom[i]
+    bi = bottom[k]
     if p + q == a1 + 1:
-        nt = (a1 - bi,) + top[1:]
-        nb = bottom[:i] + bottom[i + 1 :]
-        return "IC", bi, nt, nb, ("~IC", bi, None)
+        top[-1] = a1 - bi
+        del bottom[k]
+        return "IC", bi, top, bottom, ("~IC", bi, None)
     r2 = min(abs(2 * p - a1 - 1), abs(2 * q - a1 - 1))
     s = r2 + 1
     delta = bi - s
     if a1 - delta < 1:
         # the center block extends too far past A1 for the rotation
         # rewrite; contract purely instead
-        nt = (a1 - 2 * b1, b1) + top[1:]
-        nb = bottom[1:]
-        return "P", None, nt, nb, ("~P", None, None)
-    nt = (a1 - delta,) + top[1:]
-    nb = bottom[:i] + (s,) + bottom[i + 1 :]
-    return "IR", None, nt, nb, ("~IR", None, i + 1)
+        top[-1] = b1
+        top.append(a1 - 2 * b1)
+        bottom.pop()
+        return "P", None, top, bottom, ("~P", None, None)
+    top[-1] = a1 - delta
+    bottom[k] = s
+    return "IR", None, top, bottom, ("~IR", None, len(bottom) - k)
 
 
 def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     if m.n == 0:
         raise PreconditionError("cannot wind down the empty meander")
-    tag, c, nt, nb, undo = step_raw(m.top, m.bottom)
-    return Move(tag, c), MeanderType(nt, nb), UpMove(*undo)
+    tag, c, nt, nb, undo = step_raw(list(reversed(m.top)), list(reversed(m.bottom)))
+    move = _MOVES.get(tag) or Move(tag, c)
+    return move, MeanderType(nt[::-1], nb[::-1]), _UP_MOVES.get(undo[0]) or UpMove(*undo)
 
 
 def _reduce(top: Composition, bottom: Composition, step_raw) -> list[Move]:
     """Apply step_raw until the meander is empty; the moves taken."""
     if not top:
         raise PreconditionError("the empty meander has the empty signature")
+    top = list(reversed(top))
+    bottom = list(reversed(bottom))
     sig = []
     while top:
         tag, c, top, bottom, _ = step_raw(top, bottom)
-        sig.append(Move(tag, c))
+        sig.append(_MOVES.get(tag) or Move(tag, c))
     return sig
 
 
@@ -373,91 +418,108 @@ def _apply_up_raw(
     tag: str,
     c: int | None,
     block: int | None,
-    top: Composition,
-    bottom: Composition,
-) -> tuple[Composition, Composition]:
-    """Apply one up-move to (top, bottom); raises PreconditionError."""
+    top: list[int],
+    bottom: list[int],
+) -> tuple[list[int], list[int]]:
+    """Apply one up-move to the stacks (top, bottom) in place; raises
+    PreconditionError.  A flip returns the two stacks swapped.  After a
+    failed ~IR check the stacks are left changed: callers discard them.
+    """
     if tag in ("~C", "~C0"):
         if c is None or c < 1:
             raise PreconditionError("component creation needs a positive size")
-        return (c,) + top, (c,) + bottom
+        top.append(c)
+        bottom.append(c)
+        return top, bottom
     if tag in ("~F", "~F0"):
         if not top:
             raise PreconditionError("cannot flip the empty meander")
         return bottom, top
     if not top:
         raise PreconditionError("only component creation applies to the empty meander")
-    a1 = top[0]
-    b1 = bottom[0]
+    a1 = top[-1]
+    b1 = bottom[-1]
     if tag in ("~B", "~B0"):
-        return (2 * a1,) + top[1:], (a1,) + bottom
-    if tag in ("~R", "~R0"):
+        top[-1] = 2 * a1
+        bottom.append(a1)
+    elif tag in ("~R", "~R0"):
         if a1 <= b1:
             raise PreconditionError("rotation expansion requires a1 > b1")
-        return (2 * a1 - b1,) + top[1:], (a1,) + bottom[1:]
-    if tag in ("~P", "~P0"):
+        top[-1] = 2 * a1 - b1
+        bottom[-1] = a1
+    elif tag in ("~P", "~P0"):
         if len(top) < 2:
             raise PreconditionError("pure creation requires at least two top blocks")
-        return (top[0] + 2 * top[1],) + top[2:], (top[1],) + bottom
-    if tag == "~IC":
+        top.pop()
+        a2 = top[-1]
+        top[-1] = a1 + 2 * a2
+        bottom.append(a2)
+    elif tag == "~IC":
         if c is None or c < 1:
             raise PreconditionError("~IC needs a positive size")
         if a1 % 2:
             raise PreconditionError("~IC requires an even first top block")
-        i, p, _ = _center_block(a1, bottom)
+        k, p, _ = _center_block(a1, bottom)
         if 2 * p <= a1 + 1:
             raise PreconditionError(
                 "~IC requires the vertex a1/2 to end a bottom block"
             )
-        return (a1 + c,) + top[1:], bottom[:i] + (c,) + bottom[i:]
-    if tag == "~IB":
+        top[-1] = a1 + c
+        bottom.insert(k + 1, c)
+    elif tag == "~IB":
         if block is None:
             raise PreconditionError("~IB needs a target block index")
         if block < 2 or block > len(bottom):
             raise PreconditionError(f"~IB block index {block} out of range")
-        p, _ = list(_block_spans(bottom))[block - 1]
-        size = a1 - 2 * (p - 1)
+        # the blocks in front of the target end at vertex p - 1
+        k = len(bottom) - block + 1
+        size = a1 - 2 * sum(bottom[k:])
         if size < 1:
             raise PreconditionError(
                 f"~IB target block starts too far right (would create size {size})"
             )
-        nb = bottom[: block - 1] + (size,) + bottom[block - 1 :]
-        return (a1 + size,) + top[1:], nb
-    if tag == "~IR":
+        top[-1] = a1 + size
+        bottom.insert(k, size)
+    elif tag == "~IR":
         if block is None:
-            i, p, _ = _center_block(a1, bottom)
+            k, p, _ = _center_block(a1, bottom)
             if 2 * p > a1 + 1:
                 raise PreconditionError(
                     "~IR: no bottom block contains the center of the first top block"
                 )
-            j = i + 1
+            j = len(bottom) - k
         elif 1 <= block <= len(bottom):
             j = block
-            p, _ = list(_block_spans(bottom))[j - 1]
+            k = len(bottom) - j
+            p = 1 + sum(bottom[k + 1 :])
         else:
             raise PreconditionError(f"~IR block index {block} out of range")
-        bj = bottom[j - 1]
-        delta = a1 + 2 - 2 * p - bj
-        if delta < 0:
-            delta = -delta
+        bj = bottom[k]
+        delta = abs(a1 + 2 - 2 * p - bj)
         if delta == 0:
             raise PreconditionError("~IR: target block would be centered (use ~IC)")
-        nt = (a1 + delta,) + top[1:]
-        nb = bottom[: j - 1] + (bj + delta,) + bottom[j:]
-        # the expansion is valid exactly when it inverts a refined IR step
-        tag2, _, st, sb, undo = _step_refined_raw(nt, nb)
-        if tag2 != "IR" or st != top or sb != bottom or undo[2] != j:
+        top[-1] = a1 + delta
+        bottom[k] = bj + delta
+        # the expansion is valid exactly when it inverts a refined IR step,
+        # which changes no entry but these two
+        tag2, _, _, _, undo = _step_refined_raw(top, bottom)
+        if tag2 != "IR" or undo[2] != j or top[-1] != a1 or bottom[k] != bj:
             raise PreconditionError(
                 "~IR: expanding this block does not invert a rotation contraction"
             )
-        return nt, nb
-    raise PreconditionError(f"unknown up-move tag {tag!r}")
+        top[-1] = a1 + delta
+        bottom[k] = bj + delta
+    else:
+        raise PreconditionError(f"unknown up-move tag {tag!r}")
+    return top, bottom
 
 
 def apply_up_move(move: UpMove, m: MeanderType) -> MeanderType:
     """Apply one up-move to a meander (the empty meander is MeanderType((), ()))."""
-    nt, nb = _apply_up_raw(move.tag, move.c, move.block, m.top, m.bottom)
-    return MeanderType(nt, nb)
+    nt, nb = _apply_up_raw(
+        move.tag, move.c, move.block, list(reversed(m.top)), list(reversed(m.bottom))
+    )
+    return MeanderType(nt[::-1], nb[::-1])
 
 
 def wind_up(seq: Iterable[UpMove]) -> MeanderType:
@@ -467,8 +529,8 @@ def wind_up(seq: Iterable[UpMove]) -> MeanderType:
     is checked at application time; violations raise WindUpError carrying
     the 1-based step index.
     """
-    top: Composition = ()
-    bottom: Composition = ()
+    top: list[int] = []
+    bottom: list[int] = []
     step = 0
     for move in seq:
         step += 1
@@ -480,21 +542,18 @@ def wind_up(seq: Iterable[UpMove]) -> MeanderType:
             raise WindUpError(step, move, str(exc)) from exc
     if step == 0:
         raise WindUpError(0, None, "empty up-move sequence")
-    return MeanderType(top, bottom)
-
-
-_HAT = {"F0": "~F0", "C0": "~C0", "B0": "~B0", "R0": "~R0", "P0": "~P0"}
+    return MeanderType(top[::-1], bottom[::-1])
 
 
 def hat_reversed(sig: Sequence[Move]) -> list[UpMove]:
     """Reverse a simplified signature into the up-sequence that rebuilds it."""
     out = []
     for mv in reversed(sig):
-        if mv.tag not in _HAT:
+        if mv.tag not in SIMPLIFIED_TAGS:
             raise PreconditionError(
                 f"hat_reversed takes a simplified signature, got {mv.tag}"
             )
-        out.append(UpMove(_HAT[mv.tag], mv.c))
+        out.append(_UP_MOVES.get("~" + mv.tag) or UpMove("~C0", mv.c))
     return out
 
 
@@ -516,8 +575,8 @@ def enumerate_meanders(n: int) -> Iterator[MeanderType]:
 def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
     """(top, bottom) of every Frobenius meander of order <= n_max, once each.
 
-    Reverse search from 1/1; see the module docstring.  The pairs come in
-    depth-first order, not sorted.
+    Reverse search from 1/1; see the module docstring for the children.
+    The pairs come in depth-first order, not sorted.
     """
     if n_max < 1:
         return
@@ -525,37 +584,34 @@ def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
     while stack:
         top, bottom, n = stack.pop()
         yield top, bottom
+        # the ~F0, ~B0, ~R0 and ~P0 children, each kept within the bound
         a1 = top[0]
-        # (tag, order of the child) for each up-move whose precondition holds
-        kids = [("F0", n), ("B0", n + a1)]
-        if a1 > bottom[0]:
-            kids.append(("R0", n + a1 - bottom[0]))
-        if len(top) > 1:
-            kids.append(("P0", n + top[1]))
-        for tag, order in kids:
-            if order > n_max:
-                continue
-            ct, cb = _apply_up_raw("~" + tag, None, None, top, bottom)
-            down, _, pt, pb, _ = _step_simplified_raw(ct, cb)
-            if down == tag and pt == top and pb == bottom:
-                stack.append((ct, cb, order))
+        b1 = bottom[0]
+        if a1 > b1:
+            stack.append((bottom, top, n))
+        if n + a1 <= n_max:
+            stack.append(((2 * a1,) + top[1:], (a1,) + bottom, n + a1))
+        if a1 > b1 and n + a1 - b1 <= n_max:
+            stack.append(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:], n + a1 - b1))
+        if len(top) > 1 and n + top[1] <= n_max:
+            a2 = top[1]
+            stack.append(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2))
 
 
-_GENERATOR_TAGS = ("~F", "~B", "~R", "~IB", "~IR")
-
-
-def _valid_up_moves(top: Composition, bottom: Composition) -> list[UpMove]:
-    """All Frobenius-preserving up-moves applicable to (top, bottom)."""
-    a1 = top[0]
-    out = [UpMove("~F"), UpMove("~B")]
-    if a1 > bottom[0]:
-        out.append(UpMove("~R"))
-    for b, (p, _) in enumerate(_block_spans(bottom), start=1):
+def _valid_up_moves(top: list[int], bottom: list[int]) -> list[UpMove]:
+    """All Frobenius-preserving up-moves applicable to the stacks (top, bottom)."""
+    a1 = top[-1]
+    out = [_UP_MOVES["~F"], _UP_MOVES["~B"]]
+    if a1 > bottom[-1]:
+        out.append(_UP_MOVES["~R"])
+    p = 1
+    for b in range(1, len(bottom) + 1):
         if b > 1 and a1 - 2 * (p - 1) >= 1:
             out.append(UpMove("~IB", block=b))
+        p += bottom[-b]
     for j in range(1, len(bottom) + 1):
         try:
-            _apply_up_raw("~IR", None, j, top, bottom)
+            _apply_up_raw("~IR", None, j, top.copy(), bottom.copy())
         except PreconditionError:
             continue
         out.append(UpMove("~IR", block=j))
@@ -572,12 +628,12 @@ def generate_frobenius(moves: int, seed: int) -> MeanderType:
     if moves < 0:
         raise PreconditionError("moves must be >= 0")
     rng = random.Random(seed)
-    top: Composition = (1,)
-    bottom: Composition = (1,)
+    top = [1]
+    bottom = [1]
     for _ in range(moves):
         choice = rng.choice(_valid_up_moves(top, bottom))
         top, bottom = _apply_up_raw(choice.tag, choice.c, choice.block, top, bottom)
-    return MeanderType(top, bottom)
+    return MeanderType(top[::-1], bottom[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from meanderkit import (
     search_gcd_conditions,
 )
 from meanderkit.core import MeanderType, _compositions, _index
-from meanderkit.lab import _frobenius_pairs
-from meanderkit.winding import is_frobenius, signature_simplified
+from meanderkit.lab import _in_scan_order
+from meanderkit.winding import _frobenius_tree, is_frobenius, signature_simplified
+
+from conftest import compositions
 
 
 def test_condition_validation():
@@ -121,6 +123,11 @@ def test_load_config_rejects_bad_lines():
 FROBENIUS_PER_ORDER = (1, 2, 6, 14, 34, 68, 150, 296, 586, 1140)
 
 
+def _frobenius_pairs(n_max):
+    """The reverse-search tree, sorted into the brute loop's order."""
+    return sorted(_frobenius_tree(n_max), key=lambda tb: (sum(tb[0]), tb))
+
+
 def test_frobenius_pairs_match_brute_filter():
     # the slow route: every pair of compositions, kept when its index is 0
     brute = [
@@ -134,8 +141,21 @@ def test_frobenius_pairs_match_brute_filter():
         assert _frobenius_pairs(n_max) == [tb for tb in brute if sum(tb[0]) <= n_max]
     counts = [sum(1 for top, _ in brute if sum(top) == n) for n in range(1, 11)]
     assert tuple(counts) == FROBENIUS_PER_ORDER
-    assert len(_frobenius_pairs(12)) == 8609
+    pairs = _frobenius_pairs(12)
+    assert len(pairs) == len(set(pairs)) == 8609
     assert _frobenius_pairs(0) == []
+
+
+def test_counterexamples_sorted_by_meander_stably():
+    # the scans stream the tree and sort only what they report
+    found = [
+        ((2, 1), (1, 2), "b"),
+        ((1,), (1,), "a"),
+        ((2, 1), (1, 2), "c"),
+        ((1, 2), (3,), "d"),
+        ((1, 2), (2, 1), "e"),
+    ]
+    assert _in_scan_order(found) == ["a", "e", "d", "b", "c"]
 
 
 @lru_cache(maxsize=None)
@@ -151,21 +171,10 @@ def _meanders(draw):
         pairs, _ = _frobenius_to_12()
         return MeanderType(*pairs[draw(st.integers(0, len(pairs) - 1))])
     n = draw(st.integers(1, 12))
-
-    def composition():
-        cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-        parts, run = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(run)
-                run = 0
-            run += 1
-        return tuple(parts + [run])
-
-    return MeanderType(composition(), composition())
+    return MeanderType(draw(compositions(n)), draw(compositions(n)))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(_meanders())
 def test_frobenius_membership_agrees(m):
     in_tree = (m.top, m.bottom) in _frobenius_to_12()[1]

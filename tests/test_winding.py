@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meanderkit import (
     MeanderType,
+    Move,
     PreconditionError,
     WindUpError,
     UpMove,
@@ -11,6 +14,8 @@ from meanderkit import (
     components,
     build_graph,
     enumerate_meanders,
+    family_biparabolic,
+    family_parabolic,
     generate_frobenius,
     hat_reversed,
     homotopy_type,
@@ -30,7 +35,9 @@ from meanderkit import (
     wind_up,
 )
 
-from conftest import random_meander
+from meanderkit.core import _index
+
+from conftest import compositions, random_meander
 
 
 # --- simplified winding down -------------------------------------------------
@@ -216,13 +223,7 @@ def test_refined_full_round_trip_random():
     rng = random.Random(5150)
     for _ in range(300):
         m = random_meander(rng, 30)
-        undos = []
-        cur = m
-        while cur.n:
-            step = step_refined_full(cur)
-            undos.append(step.undo)
-            cur = step.result
-        assert wind_up(reversed(undos)) == m
+        assert wind_up(reversed(_refined_undos(m))) == m
 
 
 def test_up_ir_defaults_to_center_block():
@@ -271,3 +272,150 @@ def test_generate_frobenius_deterministic():
     # includes internal moves often enough to vary shape
     shapes = {str(generate_frobenius(12, s)) for s in range(30)}
     assert len(shapes) > 20
+
+
+# --- the stack-held steps against tuple-based reference steps ------------------
+#
+# The reference steps below are written on tuples, straight from the case
+# table of the winding module docstring, and rebuild the whole composition
+# on every move; they are the slow route the in-place steps are checked by.
+
+
+def _ref_step_simplified(top, bottom):
+    a1, b1 = top[0], bottom[0]
+    if a1 < b1:
+        return Move("F0"), bottom, top
+    if a1 == b1:
+        return Move("C0", a1), top[1:], bottom[1:]
+    if a1 == 2 * b1:
+        return Move("B0"), (b1,) + top[1:], bottom[1:]
+    if a1 < 2 * b1:
+        return Move("R0"), (b1,) + top[1:], (2 * b1 - a1,) + bottom[1:]
+    return Move("P0"), (a1 - 2 * b1, b1) + top[1:], bottom[1:]
+
+
+def _ref_step_refined(top, bottom):
+    """(move, top, bottom, undo) of one refined step."""
+    a1, b1 = top[0], bottom[0]
+    if a1 < b1:
+        return Move("F"), bottom, top, UpMove("~F")
+    if a1 == b1:
+        return Move("C", a1), top[1:], bottom[1:], UpMove("~C", a1)
+    if a1 == 2 * b1:
+        return Move("B"), (b1,) + top[1:], bottom[1:], UpMove("~B")
+    if a1 < 2 * b1:
+        return Move("R"), (b1,) + top[1:], (2 * b1 - a1,) + bottom[1:], UpMove("~R")
+    # doubled coordinates: the center of the first top block sits at a1 + 1
+    i, p = 0, 1
+    while 2 * (p + bottom[i] - 1) <= a1:
+        p += bottom[i]
+        i += 1
+    q = p + bottom[i] - 1
+    if 2 * p > a1 + 1:
+        nb = bottom[: i - 1] + bottom[i:]
+        return Move("IB"), (a1 - bottom[i - 1],) + top[1:], nb, UpMove("~IB", block=i)
+    bi = bottom[i]
+    if p + q == a1 + 1:
+        nb = bottom[:i] + bottom[i + 1 :]
+        return Move("IC", bi), (a1 - bi,) + top[1:], nb, UpMove("~IC", bi)
+    s = min(abs(2 * p - a1 - 1), abs(2 * q - a1 - 1)) + 1
+    if a1 - bi + s < 1:
+        return Move("P"), (a1 - 2 * b1, b1) + top[1:], bottom[1:], UpMove("~P")
+    nb = bottom[:i] + (s,) + bottom[i + 1 :]
+    return Move("IR"), (a1 - bi + s,) + top[1:], nb, UpMove("~IR", block=i + 1)
+
+
+def _ref_signatures(m):
+    """(simplified signature, refined signature, refined undo moves)."""
+    simplified = []
+    top, bottom = m.top, m.bottom
+    while top:
+        move, top, bottom = _ref_step_simplified(top, bottom)
+        simplified.append(move)
+    refined, undos = [], []
+    top, bottom = m.top, m.bottom
+    while top:
+        move, top, bottom, undo = _ref_step_refined(top, bottom)
+        refined.append(move)
+        undos.append(undo)
+    return simplified, refined, undos
+
+
+def _refined_undos(m):
+    undos = []
+    while m.n:
+        step = step_refined_full(m)
+        undos.append(step.undo)
+        m = step.result
+    return undos
+
+
+def _assert_matches_reference(m):
+    simplified, refined, undos = _ref_signatures(m)
+    assert signature_simplified(m) == simplified
+    assert signature_refined(m) == refined
+    assert _refined_undos(m) == undos
+
+
+def test_steps_match_reference_exhaustive():
+    for n in range(1, 9):
+        for m in enumerate_meanders(n):
+            _assert_matches_reference(m)
+
+
+def test_steps_match_reference_large_families():
+    # hundreds of blocks, and a two-block meander of 4 000 moves
+    _assert_matches_reference(family_parabolic(2, 600, 3))
+    _assert_matches_reference(family_biparabolic(2, 5, 120, 600))
+    m = MeanderType((7, 7 * 4000 + 3), (7 * 4001 + 3,))
+    assert len(signature_simplified(m)) > 4000
+    _assert_matches_reference(m)
+
+
+def test_single_vertex_blocks_at_scale():
+    m = MeanderType((1,) * 32000, (1,) * 32000)
+    sig = signature_simplified(m)
+    assert len(sig) == 32000 and set(sig) == {Move("C0", 1)}
+
+
+def test_parabolic_family_frobenius_at_scale():
+    # index 0 is the family's closed form, for even a coprime to b
+    m = family_parabolic(2, 5000, 3)
+    assert is_frobenius(signature_simplified(m))
+    assert is_frobenius(signature_refined(m))
+
+
+# --- round-trip properties -------------------------------------------------------
+
+@st.composite
+def _meanders(draw):
+    """Random meanders to order 40, and few-block ones with parts up to 10**4."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        return MeanderType(draw(compositions(n)), draw(compositions(n)))
+    parts = st.lists(st.integers(1, 10**4), min_size=1, max_size=3)
+    top, bottom = draw(parts), draw(parts)
+    # pad the lighter side with one block so that the sums agree
+    gap = sum(top) - sum(bottom)
+    if gap > 0:
+        bottom.append(gap)
+    elif gap < 0:
+        top.append(-gap)
+    return MeanderType(tuple(top), tuple(bottom))
+
+
+@given(_meanders())
+def test_simplified_signature_winds_back_up(m):
+    assert wind_up(hat_reversed(signature_simplified(m))) == m
+
+
+@given(_meanders())
+def test_refined_undo_moves_wind_back_up(m):
+    assert wind_up(reversed(_refined_undos(m))) == m
+
+
+@given(_meanders())
+def test_signature_indices_agree_with_walk(m):
+    walk = _index(m.top, m.bottom)
+    assert index_from_signature(signature_simplified(m)) == walk
+    assert index_from_signature(signature_refined(m)) == walk
