@@ -34,7 +34,8 @@ usage: meanderkit VERB ...
 
 verbs:
   index MEANDER [--verify] [--json]          index via the signature
-  signature MEANDER [--refined] [--json]     winding-down move sequence
+  signature MEANDER [--refined] [--verify] [--json]
+                                             winding-down move sequence
   homotopy MEANDER [--json]                  plane homotopy type
   spectrum MEANDER [--verify] [--json]       eigenvalues of a Frobenius meander
   check MEANDER [--json]                     Frobenius test plus index
@@ -368,10 +369,11 @@ def _cmd_search(argv, out, err) -> int:
     if not argv:
         raise _Usage("search needs a subcommand: gcd, unimodality, blocks")
     sub = argv[0]
-    options = {"--config", "--max-coef", "--n-max", "--seed", "--sample-size", "-o"}
+    options = {"--config", "--n-max", "-o"}
     if sub == "gcd":
-        # the only search that splits its work over processes
-        options.add("--workers")
+        # the only search that samples, bounds coefficients or splits its
+        # work over processes
+        options |= {"--max-coef", "--seed", "--sample-size", "--workers"}
     args = _Args(argv[1:], set(), options)
     config: dict = {}
     if "--config" in args.options:

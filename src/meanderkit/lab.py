@@ -140,6 +140,8 @@ def _scan_slice(
 ) -> tuple[list[dict], int]:
     """Worker over a disjoint slice of first-vector indices."""
     vectors, lo, hi, frob_vecs, non_vecs = args
+    # every Frobenius vector must give a coprime pair, and no other may
+    checks = ((frob_vecs, True), (non_vecs, False))
     survivors: list[dict] = []
     checked = 0
     for ai in range(lo, hi):
@@ -150,31 +152,20 @@ def _scan_slice(
                 continue
             checked += 1
             ok = True
-            for s in frob_vecs:
-                x = (
-                    alpha[0] * s[0] + alpha[1] * s[1] + alpha[2] * s[2]
-                    + alpha[3] * s[3] + alpha[4] * s[4]
-                )
-                y = (
-                    beta[0] * s[0] + beta[1] * s[1] + beta[2] * s[2]
-                    + beta[3] * s[3] + beta[4] * s[4]
-                )
-                if gcd(x if x >= 0 else -x, y if y >= 0 else -y) != 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for s in non_vecs:
-                x = (
-                    alpha[0] * s[0] + alpha[1] * s[1] + alpha[2] * s[2]
-                    + alpha[3] * s[3] + alpha[4] * s[4]
-                )
-                y = (
-                    beta[0] * s[0] + beta[1] * s[1] + beta[2] * s[2]
-                    + beta[3] * s[3] + beta[4] * s[4]
-                )
-                if gcd(x if x >= 0 else -x, y if y >= 0 else -y) == 1:
-                    ok = False
+            for vecs, coprime in checks:
+                for s in vecs:
+                    x = (
+                        alpha[0] * s[0] + alpha[1] * s[1] + alpha[2] * s[2]
+                        + alpha[3] * s[3] + alpha[4] * s[4]
+                    )
+                    y = (
+                        beta[0] * s[0] + beta[1] * s[1] + beta[2] * s[2]
+                        + beta[3] * s[3] + beta[4] * s[4]
+                    )
+                    if (gcd(x, y) == 1) is not coprime:
+                        ok = False
+                        break
+                if not ok:
                     break
             if ok:
                 survivors.append({"alpha": list(alpha), "beta": list(beta)})

@@ -9,10 +9,15 @@ triangular for the bottom one.  Its support is the set of positions
 which has exactly (sum a_k^2 + sum b_k^2) / 2 elements and coincides with
 the meander's admissible pairs.
 
-Everything here is exact: integer fraction-free elimination for ranks and
-Fraction arithmetic for solves.  These computations are deliberately
-independent of the combinatorial routes in the other modules so the two
-sides can be checked against each other:
+Everything here is exact, and one routine does all the elimination:
+fraction-free Bareiss elimination of the augmented matrix [A | B] over the
+integers, which keeps every entry an integer minor of the input.  A rank is
+its number of pivots.  A solve adds an integer back-substitution: the last
+pivot d is, up to sign, the minor of A on the pivot rows and columns, so by
+Cramer's rule d x is integral and no fraction appears until the caller
+divides by d.  These computations are deliberately independent of the
+combinatorial routes in the other modules so the two sides can be checked
+against each other:
 
 * index via the kernel of the Kirillov form B_F(x, y) = F([x, y]) at random
   integer functionals (generic draws can only overestimate the nullity, so
@@ -29,7 +34,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import (
     ConsistencyError,
@@ -58,6 +62,14 @@ __all__ = [
 Position = tuple[int, int]
 # coefficients of a functional F = sum F_ij e_ij^*, zero off the support
 Functional = dict[Position, int]
+
+# Largest seaweed dimension (sum a_k^2 + sum b_k^2) / 2 that index_oracle,
+# principal_element, ad_spectrum and cybe_residual accept; above it they
+# raise PreconditionError before any matrix is allocated.  At the bound
+# (Python 3.11, shared 2-core host), index_oracle of 19/3|7|9 (dimension 250)
+# takes 7.4 s per trial and peaks at 25 MB; principal_element of 2|17/6|13
+# (249) 0.4 s at 17 MB, and cybe_residual of it 4.0 s at 51 MB.
+ORACLE_MAX_DIM = 250
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,16 @@ def seaweed_positions(m: MeanderType) -> SeaweedPattern:
     return SeaweedPattern(n, positions)
 
 
+def _oracle_pattern(m: MeanderType) -> SeaweedPattern:
+    """seaweed_positions, once the dimension is within ORACLE_MAX_DIM."""
+    dim = (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2
+    if dim > ORACLE_MAX_DIM:
+        raise PreconditionError(
+            f"seaweed dimension {dim} exceeds the oracle budget {ORACLE_MAX_DIM}"
+        )
+    return seaweed_positions(m)
+
+
 def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
     """The form F([e_ij, e_kl]) on the pattern basis; always antisymmetric."""
     pos = pattern.positions
@@ -114,40 +136,83 @@ def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
     return rows
 
 
-def _bareiss_rank(mat: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
+def _bareiss(
+    a: list[list[int]], b: list[list[int]] | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination of the augmented matrix [A | B].
+
+    Row r of b continues row r of a.  Pivots are taken in the columns of A
+    only.  Returns the eliminated rows and the pivot columns: the first
+    len(pivots) rows are the echelon rows, and the rows below are zero in A
+    and hold, in B, the minors that are zero exactly when A X = B is
+    consistent.  The inputs are not modified.
+    """
+    rows = [ra + rb for ra, rb in zip(a, b)] if b else [ra[:] for ra in a]
+    ncols = len(a[0]) if a else 0
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     prev = 1
-    row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
+        row = len(pivots)
+        if row == len(rows):
+            break
+        piv = next((r for r in range(row, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pivot = m[row][col]
-        base = m[row]
-        for r in range(row + 1, nrows):
-            cur = m[r]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        base = rows[row]
+        pivot = base[col]
+        for cur in rows[row + 1 :]:
             factor = cur[col]
             # every row below is updated, factor zero or not, so that each
             # entry stays a minor of the original and // stays exact
-            for c in range(col + 1, ncols):
+            for c in range(col + 1, width):
                 cur[c] = (cur[c] * pivot - factor * base[c]) // prev
             cur[col] = 0
         prev = pivot
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def _solve(
+    a: list[list[int]], b: list[list[int]]
+) -> tuple[int, list[list[int]], list[list[int]]] | None:
+    """Solve A X = B exactly in integers, by back-substitution after _bareiss.
+
+    Returns (d, Y, N), or None when some column of B is out of reach.  d is
+    the last pivot (1 when A is zero), Y has one row per unknown and one
+    column per right-hand side, with A (Y / d) = B and every free variable
+    zero, and N is a nullspace basis of A with d at each vector's own free
+    column.  d is, up to sign, the minor of A on the pivot rows and
+    columns, so by Cramer's rule d times any of these solutions is
+    integral and every division below is exact.
+    """
+    rows, pivots = _bareiss(a, b)
+    ncols = len(a[0]) if a else 0
+    rank = len(pivots)
+    if any(any(row[ncols:]) for row in rows[rank:]):
+        return None
+    d = rows[rank - 1][pivots[-1]] if pivots else 1
+
+    def back(col: int, sign: int) -> list[int]:
+        # d x, where U x = sign * (column col of U) on the echelon rows U
+        # and every free variable of x is zero
+        x = [0] * ncols
+        for k in range(rank - 1, -1, -1):
+            row = rows[k]
+            s = sign * d * row[col] - sum(row[p] * x[p] for p in pivots[k + 1 :])
+            x[pivots[k]] = s // row[pivots[k]]
+        return x
+
+    width = len(rows[0]) - ncols if rows else 0
+    solutions = [back(ncols + j, 1) for j in range(width)]
+    y = [[x[c] for x in solutions] for c in range(ncols)]
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = back(free, -1)
+        vec[free] = d
+        basis.append(vec)
+    return d, y, basis
 
 
 def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
@@ -165,12 +230,12 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     if m.n == 0:
         raise PreconditionError("the empty meander has no seaweed")
     rng = random.Random(seed)
-    pattern = seaweed_positions(m)
+    pattern = _oracle_pattern(m)
     best: int | None = None
     for _ in range(trials):
         f = {p: rng.randint(-100, 100) for p in pattern.positions}
         mat = kirillov_matrix(pattern, f)
-        nullity = pattern.dim - _bareiss_rank(mat)
+        nullity = pattern.dim - len(_bareiss(mat)[1])
         if best is None or nullity < best:
             best = nullity
     assert best is not None
@@ -214,59 +279,6 @@ class PrincipalElement:
         return [self.entries.get((i, i), Fraction(0)) for i in range(1, self.n + 1)]
 
 
-def _gauss_jordan(
-    a: list[list[int]], b: list[list[int]]
-) -> tuple[list[list[Fraction]], list[list[Fraction]]] | None:
-    """Solve A X = B exactly by Gauss-Jordan elimination over Fraction.
-
-    Row r of b continues row r of a in the augmented matrix [A | B], with
-    one column per right-hand side.  Returns (X, nullspace basis of A), with every free
-    variable of X set to zero, or None when some system is inconsistent.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    zero = Fraction(0)  # shared: most entries are zero, and Fraction is immutable
-    aug = [[Fraction(x) if x else zero for x in a[r] + b[r]] for r in range(nrows)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if aug[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for rr in range(nrows):
-            if rr != r and aug[rr][c] != 0:
-                f = aug[rr][c]
-                row_r = aug[r]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], row_r)]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    for rr in range(r, nrows):
-        if any(aug[rr][ncols:]):
-            return None
-    width = len(aug[0]) - ncols if nrows else 0
-    solution = [[zero] * width for _ in range(ncols)]
-    for c, rr in pivot_of_col.items():
-        solution[c] = aug[rr][ncols:]
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
-        for c, rr in pivot_of_col.items():
-            vec[c] = -aug[rr][fc]
-        basis.append(vec)
-    return solution, basis
-
-
 def principal_element(m: MeanderType) -> PrincipalElement:
     """Solve F([Fhat, e_ij]) = F(e_ij) over all pattern positions, exactly.
 
@@ -278,53 +290,34 @@ def principal_element(m: MeanderType) -> PrincipalElement:
     """
     if m.n == 0:
         raise PreconditionError("the empty meander has no principal element")
-    pattern = seaweed_positions(m)
+    pattern = _oracle_pattern(m)
     pos = pattern.positions
-    col = {p: k for k, p in enumerate(pos)}
     f = canonical_functional(m)
-    dim = len(pos)
-    rows = [[0] * dim for _ in range(dim)]
-    rhs = []
-    # equation for test position (i, j):
-    #   sum_{(k,l)} x_kl * ( [l==i][(k,j) in S] - [k==j][(i,l) in S] ) = [(i,j) in S]
-    for r, (i, j) in enumerate(pos):
-        row = rows[r]
-        for (k, l), cidx in col.items():
-            v = 0
-            if l == i and (k, j) in f:
-                v += 1
-            if k == j and (i, l) in f:
-                v -= 1
-            if v:
-                row[cidx] = v
-        rhs.append([1 if (i, j) in f else 0])
-    solved = _gauss_jordan(rows, rhs)
+    # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F
+    solved = _solve(kirillov_matrix(pattern, f), [[-f.get(p, 0)] for p in pos])
     if solved is None:
         raise PreconditionError("defining equation is inconsistent; not Frobenius")
-    solution, basis = solved
-    particular = [row[0] for row in solution]
+    d, y, basis = solved
     if len(basis) != 1:
         raise PreconditionError(
             f"solution space has dimension {len(basis)}, expected a line; not Frobenius"
         )
-    # normalize to trace zero along the free (identity) direction
-    diag_cols = [col[(i, i)] for i in range(1, m.n + 1)]
-    tr_part = sum(particular[c] for c in diag_cols)
-    tr_dir = sum(basis[0][c] for c in diag_cols)
-    if tr_dir == 0:
+    # normalize to trace zero along the free (identity) direction:
+    # x = (y - (tr y / tr h) h) / d
+    h = basis[0]
+    diag_cols = [k for k, (i, j) in enumerate(pos) if i == j]
+    tr_y = sum(y[c][0] for c in diag_cols)
+    tr_h = sum(h[c] for c in diag_cols)
+    if tr_h == 0:
         raise ConsistencyError("free direction has zero trace; cannot normalize")
-    t = -tr_part / tr_dir
-    values = [x + t * h for x, h in zip(particular, basis[0])]
-    entries = {pos[k]: values[k] for k in range(dim) if values[k] != 0}
-    # exact residual check of the defining equation
+    entries: dict[Position, Fraction] = {}
+    for k, p in enumerate(pos):
+        num = y[k][0] * tr_h - tr_y * h[k]
+        if num:
+            entries[p] = Fraction(num, d * tr_h)
+    # exact residual check of the defining equation, through the bracket
     for i, j in pos:
-        lhs = Fraction(0)
-        for (k, l), x in entries.items():
-            if l == i and (k, j) in f:
-                lhs += x
-            if k == j and (i, l) in f:
-                lhs -= x
-        if lhs != (1 if (i, j) in f else 0):
+        if _feval(f, _bracket(entries, {(i, j): 1})) != f.get((i, j), 0):
             raise ConsistencyError(f"principal element residual nonzero at {(i, j)}")
     return PrincipalElement(m.n, entries)
 
@@ -364,7 +357,7 @@ Matrix = dict[Position, int]
 
 def _sl_basis(m: MeanderType) -> list[Matrix]:
     """Basis of the trace-zero seaweed: off-diagonal units, diagonal differences."""
-    pattern = seaweed_positions(m)
+    pattern = _oracle_pattern(m)
     basis: list[Matrix] = []
     for i, j in pattern.positions:
         if i != j:
@@ -393,8 +386,9 @@ def cybe_residual(m: MeanderType) -> bool:
     """True iff [r12, r13] + [r12, r23] + [r13, r23] vanishes identically.
 
     r is built from the exact inverse of the Kirillov matrix of the
-    canonical functional on a trace-zero basis of the seaweed (a common
-    integer rescaling of r does not change whether the residual is zero).
+    canonical functional on a trace-zero basis of the seaweed, scaled by
+    the last Bareiss pivot to an integer matrix (the residual is
+    homogeneous in r, so the scaling does not change whether it is zero).
     """
     ix = _index(m.top, m.bottom) if m.n else 0
     if m.n and ix != 0:
@@ -407,15 +401,10 @@ def cybe_residual(m: MeanderType) -> bool:
     mat = [[_feval(f, _bracket(basis[a], basis[b])) for b in range(dim)] for a in range(dim)]
     identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
     # A X = I has a solution exactly when the matrix is invertible
-    solved = _gauss_jordan(mat, identity)
+    solved = _solve(mat, identity)
     if solved is None:
         raise PreconditionError("Kirillov matrix is degenerate on the sl part")
-    inv = solved[0]
-    scale = 1
-    for row in inv:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    rmat = [[int(x * scale) for x in row] for row in inv]
+    rmat = solved[1]  # d times the inverse
 
     brackets = [[_bracket(basis[a], basis[c]) for c in range(dim)] for a in range(dim)]
     acc: dict[tuple[Position, Position, Position], int] = {}

@@ -95,10 +95,20 @@ def test_signed_numbers_exit_one():
 
 def test_workers_only_on_search_gcd():
     assert call("enumerate", "3", "--workers", "2")[0] == 1
-    assert call("search", "blocks", "--n-max", "3", "--workers", "2")[0] == 1
-    assert call("search", "unimodality", "--n-max", "3", "--workers", "2")[0] == 1
+    for sub in ("blocks", "unimodality"):
+        for option in ("--workers", "--max-coef", "--seed", "--sample-size"):
+            code, out, err = call("search", sub, "--n-max", "3", option, "2")
+            assert (code, out) == (1, "") and f"unknown option {option}" in err
     code, out, _ = call("search", "gcd", "--max-coef", "1", "--n-max", "7", "--workers", "2")
     assert code == 0 and json.loads(out)["survivors"] == []
+
+
+def test_oracle_over_budget_exit_two():
+    # seaweed dimension 160 401, far over the oracle budget
+    for sub in ("index", "principal", "spectrum", "cybe"):
+        code, out, err = call("oracle", sub, "1|400/401")
+        assert (code, out) == (2, "")
+        assert "exceeds the oracle budget" in err and "Traceback" not in err
 
 
 def test_check_verb():

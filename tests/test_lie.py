@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanderkit import (
     MeanderType,
@@ -20,7 +22,7 @@ from meanderkit import (
     spectrum,
 )
 
-from meanderkit.lie import _bracket, _feval, _gauss_jordan, _sl_basis
+from meanderkit.lie import _bareiss, _bracket, _feval, _sl_basis, _solve
 
 from conftest import random_meander
 
@@ -123,13 +125,11 @@ def test_ad_spectrum_golden():
 
 
 def test_ad_spectrum_matches_combinatorial():
-    rng = random.Random(31)
-    count = 0
-    while count < 20:
-        m = random_meander(rng, 8)
-        if index_naive(m) != 0:
-            continue
-        count += 1
+    frobenius = [
+        m for n in range(1, 8) for m in enumerate_meanders(n) if index_naive(m) == 0
+    ]
+    assert len(frobenius) == 275
+    for m in frobenius:
         assert ad_spectrum(m) == spectrum(m)
 
 
@@ -149,7 +149,11 @@ def test_cybe_rejects_non_frobenius():
         cybe_residual(parse_type("3/3"))
 
 
-def test_gauss_jordan_inverts_cybe_kirillov_matrix():
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_solve_inverts_cybe_kirillov_matrix():
     for text in ("1|2/3", "1|4/2|3", "6|1/2|3|2", "2|3/5"):
         m = parse_type(text)
         basis = _sl_basis(m)
@@ -157,24 +161,73 @@ def test_gauss_jordan_inverts_cybe_kirillov_matrix():
         a = [[_feval(f, _bracket(x, y)) for y in basis] for x in basis]
         dim = len(a)
         identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
-        inv, nullspace = _gauss_jordan(a, identity)
+        d, y, nullspace = _solve(a, identity)
         assert nullspace == []
-        product = [
-            [sum(a[r][k] * inv[k][c] for k in range(dim)) for c in range(dim)]
-            for r in range(dim)
-        ]
-        assert product == identity
+        assert _matmul(a, y) == [[d * v for v in row] for row in identity]
 
 
-def test_gauss_jordan_inconsistent_and_singular():
+def test_solve_inconsistent_and_singular():
     # x + y = 1 and 2x + 2y = 3 have no common solution
-    assert _gauss_jordan([[1, 1], [2, 2]], [[1], [3]]) is None
+    assert _solve([[1, 1], [2, 2]], [[1], [3]]) is None
     # rank one in three unknowns: a particular solution and a plane of kernel
     a = [[1, 2, 3], [2, 4, 6]]
-    x, nullspace = _gauss_jordan(a, [[6], [12]])
+    d, y, nullspace = _solve(a, [[6], [12]])
     assert len(nullspace) == 2
-    for vec in [[row[0] for row in x]] + nullspace:
-        assert all(isinstance(v, Fraction) for v in vec)
-    assert [sum(a[r][c] * x[c][0] for c in range(3)) for r in range(2)] == [6, 12]
+    for vec in [[row[0] for row in y]] + nullspace:
+        assert all(isinstance(v, int) for v in vec)
+    assert _matmul(a, y) == [[6 * d], [12 * d]]
     for vec in nullspace:
-        assert [sum(a[r][c] * vec[c] for c in range(3)) for r in range(2)] == [0, 0]
+        assert _matmul(a, [[v] for v in vec]) == [[0], [0]]
+
+
+def _fraction_rank(mat):
+    """Rank by plain Gauss elimination over Fraction: the slow route."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][c] / rows[rank][c]
+            rows[r] = [x - factor * p for x, p in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _integer_systems(draw):
+    """(A, B, c) with A = L R of inner width k, so that zero (k = 0) and
+    rank-deficient matrices of every shape come up as well as full-rank
+    ones; B = A X is consistent, and the column c may not be."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(nrows, ncols)))
+
+    def matrix(r, c):
+        entry = st.integers(-4, 4)
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    a = _matmul(matrix(nrows, k), matrix(k, ncols)) if k else [[0] * ncols for _ in range(nrows)]
+    b = _matmul(a, matrix(ncols, draw(st.integers(0, 3))))
+    return a, b, matrix(nrows, 1)
+
+
+@given(_integer_systems())
+@settings(max_examples=300)
+def test_bareiss_solve_against_fraction_rank(system):
+    a, b, c = system
+    rank = _fraction_rank(a)
+    assert len(_bareiss(a)[1]) == rank
+    d, y, nullspace = _solve(a, b)
+    assert d != 0
+    assert _matmul(a, y) == [[d * v for v in row] for row in b]
+    assert len(nullspace) == len(a[0]) - rank
+    assert _fraction_rank(nullspace) == len(nullspace)
+    for vec in nullspace:
+        assert _matmul(a, [[v] for v in vec]) == [[0]] * len(a)
+    solved = _solve(a, c)
+    assert (solved is not None) == (_fraction_rank([ra + rc for ra, rc in zip(a, c)]) == rank)
+    if solved is not None:
+        assert _matmul(a, solved[1]) == [[solved[0] * row[0]] for row in c]
