@@ -17,12 +17,13 @@ from .spectrum import classify as classify_spectrum
 from .spectrum import spectrum as spectrum_of
 from .spectrum import spectrum_to_json
 from .core import (
+    Composition,
     ConsistencyError,
     MeanderType,
     ParseError,
     PreconditionError,
+    _block_spans,
     _parse_uint,
-    build_graph,
     index_naive,
     parse_type,
 )
@@ -260,6 +261,8 @@ def _cmd_check(argv, out, err) -> int:
 def _cmd_generate(argv, out, err) -> int:
     args = _Args(argv, {"--json"}, {"--moves", "--seed"})
     if args.positional:
+        # an explicit sequence reads neither --moves nor --seed
+        args = _Args(argv, {"--json"}, set())
         moves = winding.parse_up_moves(" ".join(args.positional))
         m = winding.wind_up(moves)
         if "--json" in args.flags:
@@ -296,7 +299,11 @@ def _cmd_oracle(argv, out, err) -> int:
     if not argv:
         raise _Usage("oracle needs a subcommand: index, principal, spectrum, cybe")
     sub = argv[0]
-    args = _Args(argv[1:], {"--json"}, {"--trials", "--seed"})
+    if sub not in ("index", "principal", "spectrum", "cybe"):
+        raise _Usage(f"unknown oracle subcommand {sub!r}")
+    # only the index oracle draws random functionals
+    options = {"--trials", "--seed"} if sub == "index" else set()
+    args = _Args(argv[1:], {"--json"}, options)
     m = _one_meander(args)
     as_json = "--json" in args.flags
     if sub == "index":
@@ -327,14 +334,12 @@ def _cmd_oracle(argv, out, err) -> int:
         else:
             _emit(" ".join(f"{e}:{dims[e]}" for e in sorted(dims)), out)
         return 0
-    if sub == "cybe":
-        ok = lie.cybe_residual(m)
-        if as_json:
-            _emit(json.dumps({"meander": str(m), "cybe_zero": ok}), out)
-        else:
-            _emit("true" if ok else "false", out)
-        return 0 if ok else 3
-    raise _Usage(f"unknown oracle subcommand {sub!r}")
+    ok = lie.cybe_residual(m)
+    if as_json:
+        _emit(json.dumps({"meander": str(m), "cybe_zero": ok}), out)
+    else:
+        _emit("true" if ok else "false", out)
+    return 0 if ok else 3
 
 
 def _cmd_family(argv, out, err) -> int:
@@ -365,43 +370,49 @@ def _cmd_family(argv, out, err) -> int:
     return 0
 
 
+# The integer parameters of each search and their defaults.  Each is read
+# from its option (--max-coef for max_coef) or else from the config key of
+# the same name, so a search accepts exactly the options and keys it reads.
+_SEARCH_PARAMS = {
+    "gcd": {"max_coef": 2, "n_max": 18, "seed": 0, "sample_size": None},
+    "unimodality": {"n_max": 12},
+    "blocks": {"n_max": 12},
+}
+
+
 def _cmd_search(argv, out, err) -> int:
     if not argv:
         raise _Usage("search needs a subcommand: gcd, unimodality, blocks")
     sub = argv[0]
-    options = {"--config", "--n-max", "-o"}
-    if sub == "gcd":
-        # the only search that samples, bounds coefficients or splits its
-        # work over processes
-        options |= {"--max-coef", "--seed", "--sample-size", "--workers"}
-    args = _Args(argv[1:], set(), options)
+    if sub not in _SEARCH_PARAMS:
+        raise _Usage(f"unknown search subcommand {sub!r}")
+    defaults = _SEARCH_PARAMS[sub]
+    options = {"--" + key.replace("_", "-"): key for key in defaults}
+    # gcd is the only search that splits its work over processes
+    extra = {"--config", "-o"} | ({"--workers"} if sub == "gcd" else set())
+    args = _Args(argv[1:], set(), set(options) | extra)
     config: dict = {}
     if "--config" in args.options:
         try:
             with open(args.options["--config"], "r", encoding="utf-8") as fh:
-                config = lab.load_config(fh.read())
+                config = lab.load_config(fh.read(), tuple(defaults))
         except OSError as exc:
             raise _Usage(f"cannot read config: {exc}")
-    max_coef = args.int_option("--max-coef", config.get("max_coef", 2))
-    n_max = args.int_option("--n-max", config.get("n_max"))
-    seed = args.int_option("--seed", config.get("seed", 0))
-    sample_size = args.int_option("--sample-size", config.get("sample_size"))
+    value = {
+        key: args.int_option(option, config.get(key, defaults[key]))
+        for option, key in options.items()
+    }
     workers = args.int_option("--workers", 1)
-
     if sub == "gcd":
-        n_max = 18 if n_max is None else n_max
-        frob, nonfrob = lab.five_block_meanders(n_max)
+        frob, nonfrob = lab.five_block_meanders(value["n_max"])
         report = lab.search_gcd_conditions(
-            max_coef, frob, nonfrob, seed=seed, sample_size=sample_size, workers=workers
+            value["max_coef"], frob, nonfrob, seed=value["seed"],
+            sample_size=value["sample_size"], workers=workers,
         )
     elif sub == "unimodality":
-        n_max = 12 if n_max is None else n_max
-        report = lab.scan_unimodality(n_max)
-    elif sub == "blocks":
-        n_max = 12 if n_max is None else n_max
-        report = lab.scan_block_measures(n_max)
+        report = lab.scan_unimodality(value["n_max"])
     else:
-        raise _Usage(f"unknown search subcommand {sub!r}")
+        report = lab.scan_block_measures(value["n_max"])
     text = report.to_json()
     if "-o" in args.options:
         with open(args.options["-o"], "w", encoding="utf-8") as fh:
@@ -419,26 +430,22 @@ def _cmd_search(argv, out, err) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _arc_depths(arcs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    depth = {}
-    for u, v in arcs:
-        depth[(u, v)] = 1 + sum(1 for x, y in arcs if x < u and v < y)
-    return depth
+def _arcs(comp: Composition) -> list[tuple[int, int, int]]:
+    """(left, right, depth) of each arc of one side.  Arcs of different
+    blocks never nest, so arc d of block p..q is (p+d, q-d) at depth d+1."""
+    return [(p + d, q - d, d + 1) for p, q in _block_spans(comp) for d in range((q - p + 1) // 2)]
 
 
 def ascii_diagram(m: MeanderType) -> str:
     """Static arc diagram: top arcs above the vertex line, bottom below."""
-    g = build_graph(m)
     n = m.n
     width = max(2 * n - 1, 1)
-    top_arcs = sorted((min(u, v), max(u, v)) for u, v, s in g.edges() if s == "top")
-    bot_arcs = sorted((min(u, v), max(u, v)) for u, v, s in g.edges() if s == "bottom")
 
-    def rows(arcs: list[tuple[int, int]], corner: str) -> list[list[str]]:
-        depth = _arc_depths(arcs)
-        height = max(depth.values(), default=0)
+    def rows(comp: Composition, corner: str) -> list[list[str]]:
+        arcs = _arcs(comp)
+        height = max((d for _, _, d in arcs), default=0)
         grid = [[" "] * width for _ in range(height)]
-        for (u, v), d in depth.items():
+        for u, v, d in arcs:
             bar = d - 1
             cu, cv = 2 * (u - 1), 2 * (v - 1)
             grid[bar][cu] = corner
@@ -450,8 +457,8 @@ def ascii_diagram(m: MeanderType) -> str:
                 grid[rr][cv] = "|"
         return grid
 
-    top_grid = rows(top_arcs, ".")
-    bot_grid = rows(bot_arcs, "'")
+    top_grid = rows(m.top, ".")
+    bot_grid = rows(m.bottom, "'")
     bot_grid.reverse()
     vertex_row = " ".join("o" for _ in range(n))
     lines = ["".join(r).rstrip() for r in top_grid]
@@ -462,14 +469,16 @@ def ascii_diagram(m: MeanderType) -> str:
 
 def svg_diagram(m: MeanderType) -> str:
     """SVG 1.1 arc diagram, semicircles over a horizontal baseline."""
-    g = build_graph(m)
+    edges = sorted(
+        (u, v, side)
+        for side, comp in (("top", m.top), ("bottom", m.bottom))
+        for u, v, _ in _arcs(comp)
+    )
     n = m.n
     spacing = 40
     margin = 30
     radius_unit = spacing / 2
-    max_span = max(
-        [abs(v - u) for u, v, _ in g.edges()] or [1]
-    )
+    max_span = max([v - u for u, v, _ in edges] or [1])
     baseline = margin + max_span * radius_unit
     width = 2 * margin + spacing * (n - 1)
     height = 2 * baseline
@@ -484,7 +493,7 @@ def svg_diagram(m: MeanderType) -> str:
     def x(v: int) -> float:
         return margin + spacing * (v - 1)
 
-    for u, v, side in sorted(g.edges()):
+    for u, v, side in edges:
         r = (x(v) - x(u)) / 2
         sweep = 1 if side == "top" else 0
         parts.append(

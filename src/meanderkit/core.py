@@ -191,24 +191,14 @@ def _block_spans(comp: Composition) -> Iterator[tuple[int, int]]:
 def _partners(top: Composition, bottom: Composition, n: int) -> tuple[list[int], list[int]]:
     tp = [0] * (n + 1)
     bp = [0] * (n + 1)
-    pos = 1
-    for k in top:
-        last = pos + k - 1
-        for d in range(k // 2):
-            u = pos + d
-            v = last - d
-            tp[u] = v
-            tp[v] = u
-        pos += k
-    pos = 1
-    for k in bottom:
-        last = pos + k - 1
-        for d in range(k // 2):
-            u = pos + d
-            v = last - d
-            bp[u] = v
-            bp[v] = u
-        pos += k
+    for comp, partner in ((top, tp), (bottom, bp)):
+        pos = 1
+        for k in comp:
+            last = pos + k - 1
+            for d in range(k // 2):
+                partner[pos + d] = last - d
+                partner[last - d] = pos + d
+            pos += k
     return tp, bp
 
 
@@ -276,6 +266,13 @@ def index_naive(m: MeanderType) -> int:
     if m.n == 0:
         return -1
     return _index(m.top, m.bottom)
+
+
+def _require_frobenius(m: MeanderType) -> None:
+    """Raise NotFrobeniusError, carrying index_naive(m), unless m has index 0."""
+    ix = index_naive(m)
+    if ix != 0:
+        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
 
 
 def _compositions(n: int) -> list[Composition]:

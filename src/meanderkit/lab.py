@@ -253,13 +253,9 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
     return [record for _, _, record in found]
 
 
-def scan_unimodality(n_max: int) -> ScanReport:
-    """Spectra of all Frobenius meanders with order <= n_max, shape-checked.
-
-    Counterexamples to unimodality or strict unimodality are collected in
-    the report; symmetry or unbrokenness failures are impossible for correct
-    code and therefore raise.
-    """
+def _scan(kind: str, n_max: int, records) -> ScanReport:
+    """Report the records(top, bottom) yields for every Frobenius meander of
+    order <= n_max, as the counterexamples of a scan of the given kind."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     t0 = time.monotonic()
@@ -267,6 +263,25 @@ def scan_unimodality(n_max: int) -> ScanReport:
     checked = 0
     for top, bottom in _frobenius_tree(n_max):
         checked += 1
+        found.extend((top, bottom, record) for record in records(top, bottom))
+    return ScanReport(
+        kind=kind,
+        parameters={"n_max": n_max},
+        counterexamples=_in_scan_order(found),
+        checked=checked,
+        elapsed=time.monotonic() - t0,
+    )
+
+
+def scan_unimodality(n_max: int) -> ScanReport:
+    """Spectra of all Frobenius meanders with order <= n_max, shape-checked.
+
+    Counterexamples to unimodality or strict unimodality are collected in
+    the report; symmetry or unbrokenness failures are impossible for correct
+    code and therefore raise.
+    """
+
+    def records(top: Composition, bottom: Composition):
         dims = _spectrum_raw(top, bottom)
         flags = classify(dims)
         if not (flags.symmetric and flags.unbroken):
@@ -274,20 +289,14 @@ def scan_unimodality(n_max: int) -> ScanReport:
                 f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
             )
         if not (flags.unimodal and flags.strictly_unimodal):
-            record = {
+            yield {
                 "meander": str(MeanderType(top, bottom)),
                 "spectrum": {str(e): d for e, d in sorted(dims.items())},
                 "unimodal": flags.unimodal,
                 "strictly_unimodal": flags.strictly_unimodal,
             }
-            found.append((top, bottom, record))
-    return ScanReport(
-        kind="unimodality",
-        parameters={"n_max": n_max},
-        counterexamples=_in_scan_order(found),
-        checked=checked,
-        elapsed=time.monotonic() - t0,
-    )
+
+    return _scan("unimodality", n_max, records)
 
 
 def scan_block_measures(n_max: int) -> ScanReport:
@@ -297,13 +306,8 @@ def scan_block_measures(n_max: int) -> ScanReport:
     This is a proven fact; the report is expected empty and the caller may
     treat any counterexample as fatal.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
-    t0 = time.monotonic()
-    found = []
-    checked = 0
-    for top, bottom in _frobenius_tree(n_max):
-        checked += 1
+
+    def records(top: Composition, bottom: Composition):
         phi, _ = _potentials(top, bottom)
         for side, comp in (("top", top), ("bottom", bottom)):
             for k, span in enumerate(_block_spans(comp), start=1):
@@ -312,27 +316,22 @@ def scan_block_measures(n_max: int) -> ScanReport:
                     continue
                 flags = classify(Counter(ms))
                 if not (flags.symmetric and flags.unbroken):
-                    record = {
+                    yield {
                         "meander": str(MeanderType(top, bottom)),
                         "side": side,
                         "block": k,
                         "measures": list(ms),
                     }
-                    found.append((top, bottom, record))
-    return ScanReport(
-        kind="block-measures",
-        parameters={"n_max": n_max},
-        counterexamples=_in_scan_order(found),
-        checked=checked,
-        elapsed=time.monotonic() - t0,
-    )
+
+    return _scan("block-measures", n_max, records)
 
 
 _CONFIG_KEYS = ("max_coef", "n_max", "sample_size", "seed")
 
 
-def load_config(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+def load_config(text: str, keys: tuple[str, ...] = _CONFIG_KEYS) -> dict:
+    """Parse `key = value` lines of the given keys; '#' starts a comment,
+    blank lines ignored."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -343,7 +342,7 @@ def load_config(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         out[key] = _parse_uint(value, f"value on config line {lineno}")
     return out

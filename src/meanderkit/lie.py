@@ -38,11 +38,10 @@ from fractions import Fraction
 from .core import (
     ConsistencyError,
     MeanderType,
-    NotFrobeniusError,
     PreconditionError,
     _block_spans,
-    _index,
     _partners,
+    _require_frobenius,
 )
 from .spectrum import Spectrum
 
@@ -327,11 +326,11 @@ def ad_spectrum(m: MeanderType) -> Spectrum:
 
     The multiplicity of 0 is reduced by one, removing the central identity
     direction of the gl(n) seaweed.  A non-diagonal principal element would
-    invalidate the difference formula and raises ConsistencyError.
+    invalidate the difference formula and raises ConsistencyError.  A
+    meander of nonzero index, the empty one included, raises
+    NotFrobeniusError.
     """
-    ix = _index(m.top, m.bottom) if m.n else None
-    if ix != 0:
-        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix if ix is not None else -1)
+    _require_frobenius(m)
     fhat = principal_element(m)
     if not fhat.is_diagonal:
         raise ConsistencyError("principal element is not diagonal")
@@ -389,10 +388,10 @@ def cybe_residual(m: MeanderType) -> bool:
     canonical functional on a trace-zero basis of the seaweed, scaled by
     the last Bareiss pivot to an integer matrix (the residual is
     homogeneous in r, so the scaling does not change whether it is zero).
+    A meander of nonzero index, the empty one included, raises
+    NotFrobeniusError.
     """
-    ix = _index(m.top, m.bottom) if m.n else 0
-    if m.n and ix != 0:
-        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+    _require_frobenius(m)
     basis = _sl_basis(m)
     dim = len(basis)
     if dim == 0:

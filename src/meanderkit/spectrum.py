@@ -15,6 +15,11 @@ For a Frobenius meander (a single path, so every measure is defined) the
 multiset of measures over all admissible pairs, with the multiplicity of 0
 reduced by one, is the spectrum of the adjoint of the principal element of
 the corresponding seaweed subalgebra of sl(n).
+
+Measures are read off potentials: each path is walked once, from one of
+its ends, and every vertex on it gets a potential phi that rises by 1 along
+each oriented arc, so the measure of (i, j) is phi(j) - phi(i).  Cycles
+have no end and are never walked; their vertices get no potential.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from dataclasses import dataclass
 from .core import (
     Composition,
     MeanderType,
-    NotFrobeniusError,
     PreconditionError,
     _block_spans,
-    _index,
     _partners,
+    _require_frobenius,
 )
 
 __all__ = [
@@ -71,61 +75,36 @@ def admissible_pairs(m: MeanderType) -> list[tuple[int, int]]:
 def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None], list[int]]:
     """Per-vertex potential phi with phi(head) = phi(tail) + 1 along each arc.
 
-    Returns (phi, root) where phi[v] is the potential within v's component
-    and root[v] is the path end that component was normalized from, so two
-    vertices share a path exactly when their roots are equal.  Vertices on
-    cycle components get no potential and root 0.
+    Returns (phi, root) where phi[v] is the potential within v's path and
+    root[v] is the end of that path the walk started from, so two vertices
+    share a path exactly when their roots are equal.  Each path is walked
+    once, from its end of least index; a walk from an end cannot close on
+    itself.  Cycles have no end and are never walked: their vertices keep
+    phi None and root 0.
     """
     n = sum(top)
     tp, bp = _partners(top, bottom, n)
     phi: list[int | None] = [None] * (n + 1)
     root = [0] * (n + 1)
-    seen = bytearray(n + 1)
-    for v0 in range(1, n + 1):
-        if seen[v0]:
+    for v in range(1, n + 1):
+        if root[v] or (tp[v] and bp[v]):
             continue
-        # find an end of the component, or detect a cycle
-        prev, cur = 0, v0
-        steps = 0
-        start = v0
+        phi[v] = f = 0
+        root[v] = v
+        prev, cur = 0, v
         while True:
-            nxt = tp[cur] if tp[cur] != prev else bp[cur]
-            if not nxt:
-                start = cur
-                break
-            if nxt == v0 and prev != 0:
-                start = -1  # cycle
-                break
-            prev, cur = cur, nxt
-            steps += 1
-            if steps > n:
-                start = -1
-                break
-        if start == -1:
-            prev, cur = 0, v0
-            while not seen[cur]:
-                seen[cur] = 1
-                nxt = tp[cur] if tp[cur] != prev else bp[cur]
-                prev, cur = cur, nxt
-            continue
-        phi[start] = 0
-        seen[start] = 1
-        root[start] = start
-        prev, cur = 0, start
-        while True:
-            t, b = tp[cur], bp[cur]
-            if t and t != prev and not seen[t]:
+            nxt = tp[cur]
+            if nxt and nxt != prev:
                 # top arcs point leftward
-                phi[t] = phi[cur] + (1 if t < cur else -1)
-                nxt = t
-            elif b and b != prev and not seen[b]:
-                # bottom arcs point rightward
-                phi[b] = phi[cur] + (1 if b > cur else -1)
-                nxt = b
+                f += 1 if nxt < cur else -1
             else:
-                break
-            seen[nxt] = 1
-            root[nxt] = start
+                nxt = bp[cur]
+                if not nxt or nxt == prev:
+                    break
+                # bottom arcs point rightward
+                f += 1 if nxt > cur else -1
+            phi[nxt] = f
+            root[nxt] = v
             prev, cur = cur, nxt
     return phi, root
 
@@ -179,14 +158,10 @@ def _spectrum_raw(top: Composition, bottom: Composition) -> Spectrum:
 def spectrum(m: MeanderType) -> Spectrum:
     """Measure multiset over admissible pairs, 0-multiplicity reduced by one.
 
-    Defined only for Frobenius meanders; anything else raises
-    NotFrobeniusError.
+    Defined only for Frobenius meanders; anything else, the empty meander
+    (index -1) included, raises NotFrobeniusError.
     """
-    if m.n == 0:
-        raise PreconditionError("spectrum of the empty meander is undefined")
-    ix = _index(m.top, m.bottom)
-    if ix != 0:
-        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+    _require_frobenius(m)
     return _spectrum_raw(m.top, m.bottom)
 
 
@@ -239,9 +214,7 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
     """
     if side not in ("top", "bottom"):
         raise PreconditionError(f"side must be 'top' or 'bottom', got {side!r}")
-    ix = _index(m.top, m.bottom)
-    if ix != 0:
-        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+    _require_frobenius(m)
     comp = m.top if side == "top" else m.bottom
     if not (1 <= k <= len(comp)):
         raise PreconditionError(f"no {side} block {k}")

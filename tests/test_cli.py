@@ -103,6 +103,32 @@ def test_workers_only_on_search_gcd():
     assert code == 0 and json.loads(out)["survivors"] == []
 
 
+def test_options_a_command_does_not_read_are_rejected(tmp_path):
+    for argv in (
+        ("oracle", "cybe", "1|2/3", "--trials", "9", "--seed", "4"),
+        ("oracle", "principal", "1|2/3", "--seed", "4"),
+        ("oracle", "spectrum", "1|2/3", "--trials", "4"),
+        ("generate", "~C0(1)", "~B0", "--moves", "5", "--seed", "2"),
+        ("generate", "~C0(1)", "~B0", "--seed", "2"),
+    ):
+        code, out, err = call(*argv)
+        assert (code, out) == (1, "") and "unknown option --" in err
+    assert call("oracle", "index", "1|2/3", "--trials", "2", "--seed", "4")[:2] == (
+        0,
+        "0 trials=2 seed=4\n",
+    )
+    assert call("generate", "~C0(1)", "~B0")[:2] == (0, "2/1|1\n")
+    cfg = tmp_path / "scan.cfg"
+    for key in ("max_coef", "seed", "sample_size"):
+        cfg.write_text(f"n_max = 3\n{key} = 2\n")
+        for sub in ("unimodality", "blocks"):
+            code, out, err = call("search", sub, "--config", str(cfg))
+            assert (code, out) == (1, "") and f"unknown key {key!r}" in err
+    cfg.write_text("n_max = 3\n")
+    code, out, _ = call("search", "blocks", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["parameters"] == {"n_max": 3}
+
+
 def test_oracle_over_budget_exit_two():
     # seaweed dimension 160 401, far over the oracle budget
     for sub in ("index", "principal", "spectrum", "cybe"):

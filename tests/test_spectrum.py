@@ -2,11 +2,13 @@ import pytest
 
 from meanderkit import (
     MeanderType,
+    ad_spectrum,
     NotFrobeniusError,
     PreconditionError,
     admissible_pairs,
     block_measures,
     classify,
+    cybe_residual,
     enumerate_meanders,
     index_naive,
     measure,
@@ -14,6 +16,7 @@ from meanderkit import (
     spectrum,
     spectrum_to_json,
 )
+from meanderkit.spectrum import _potentials
 
 
 def test_admissible_pair_counts():
@@ -143,3 +146,68 @@ def test_spectrum_json_shape():
     assert data["eigenvalues"][0] == {"e": -2, "dim": 1}
     assert data["symmetric"] is True
     assert data["strictly_unimodal"] is True
+
+
+def _arcs(top, bottom):
+    """Oriented arcs (tail, head): top arcs point left, bottom arcs right."""
+    out = []
+    for comp, leftward in ((top, True), (bottom, False)):
+        pos = 1
+        for k in comp:
+            for d in range(k // 2):
+                u, v = pos + d, pos + k - 1 - d
+                out.append((v, u) if leftward else (u, v))
+            pos += k
+    return out
+
+
+def test_potentials_follow_paths():
+    for n in range(1, 9):
+        for m in enumerate_meanders(n):
+            arcs = _arcs(m.top, m.bottom)
+            parent = list(range(n + 1))
+
+            def find(v):
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                return v
+
+            for u, v in arcs:
+                parent[find(u)] = find(v)
+            # a component with as many arcs as vertices is a cycle
+            size = {}
+            arcs_in = {}
+            for v in range(1, n + 1):
+                size[find(v)] = size.get(find(v), 0) + 1
+            for u, _ in arcs:
+                arcs_in[find(u)] = arcs_in.get(find(u), 0) + 1
+            cycle = {r for r in size if arcs_in.get(r, 0) == size[r]}
+            phi, root = _potentials(m.top, m.bottom)
+            for v in range(1, n + 1):
+                on_cycle = find(v) in cycle
+                assert (root[v] == 0) == on_cycle and (phi[v] is None) == on_cycle
+                for w in range(1, n + 1):
+                    if not on_cycle:
+                        assert (root[v] == root[w]) == (find(v) == find(w))
+            for u, v in arcs:
+                if find(u) not in cycle:
+                    assert phi[v] == phi[u] + 1
+
+
+def test_frobenius_gate_shared_by_four_routes():
+    meanders = [MeanderType((), ())]
+    for n in range(1, 6):
+        meanders += [m for m in enumerate_meanders(n) if index_naive(m) != 0]
+    routes = (
+        spectrum,
+        lambda m: block_measures(m, "top", 1),
+        ad_spectrum,
+        cybe_residual,
+    )
+    for m in meanders:
+        for route in routes:
+            with pytest.raises(NotFrobeniusError) as exc:
+                route(m)
+            assert exc.value.index == index_naive(m)
+            assert str(exc.value) == f"not Frobenius (index {index_naive(m)})"
