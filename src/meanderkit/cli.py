@@ -160,8 +160,7 @@ def _one_meander(args: _Args) -> MeanderType:
 def _cmd_index(argv, out, err) -> int:
     args = _Args(argv, {"--json", "--verify"}, set())
     m = _one_meander(args)
-    sig = winding.signature_simplified(m)
-    ix = winding.index_from_signature(sig)
+    ix = sum(winding._parameters(m)) - 1
     if "--verify" in args.flags:
         naive = index_naive(m)
         refined = winding.index_from_signature(winding.signature_refined(m))
@@ -248,9 +247,9 @@ def _cmd_spectrum(argv, out, err) -> int:
 def _cmd_check(argv, out, err) -> int:
     args = _Args(argv, {"--json"}, set())
     m = _one_meander(args)
-    sig = winding.signature_simplified(m)
-    ix = winding.index_from_signature(sig)
-    frob = winding.is_frobenius(sig)
+    ix = sum(winding._parameters(m)) - 1
+    # the final C0 is the only elimination, with c = 1, exactly when ix is 0
+    frob = ix == 0
     if "--json" in args.flags:
         _emit(json.dumps({"meander": str(m), "frobenius": frob, "index": ix}), out)
     else:

@@ -64,11 +64,19 @@ Functional = dict[Position, int]
 
 # Largest seaweed dimension (sum a_k^2 + sum b_k^2) / 2 that index_oracle,
 # principal_element, ad_spectrum and cybe_residual accept; above it they
-# raise PreconditionError before any matrix is allocated.  At the bound
-# (Python 3.11, shared 2-core host), index_oracle of 19/3|7|9 (dimension 250)
-# takes 7.4 s per trial and peaks at 25 MB; principal_element of 2|17/6|13
-# (249) 0.4 s at 17 MB, and cybe_residual of it 4.0 s at 51 MB.
+# raise PreconditionError before any matrix is allocated, and before any
+# walk over the vertices.  At the bound (Python 3.11, shared 2-core host),
+# index_oracle of 19/3|7|9 (dimension 250) takes 7.4 s per trial and peaks
+# at 25 MB; principal_element of 2|17/6|13 (249) 0.4 s at 17 MB, and
+# cybe_residual of it 4.0 s at 51 MB.
 ORACLE_MAX_DIM = 250
+
+# Most random functionals index_oracle draws; above it, it raises
+# PreconditionError before the first draw.  Trials run one after another
+# and each costs one elimination, so at both bounds one call takes about
+# 50 x 7.4 s, some six minutes, at the 25 MB peak of a single trial; at the
+# default of 5 trials it takes about 37 s.
+ORACLE_MAX_TRIALS = 50
 
 
 @dataclass(frozen=True)
@@ -107,13 +115,19 @@ def seaweed_positions(m: MeanderType) -> SeaweedPattern:
     return SeaweedPattern(n, positions)
 
 
-def _oracle_pattern(m: MeanderType) -> SeaweedPattern:
-    """seaweed_positions, once the dimension is within ORACLE_MAX_DIM."""
+def _check_budget(m: MeanderType) -> None:
+    """Raise PreconditionError unless the seaweed dimension, which needs
+    only the block sizes, is within ORACLE_MAX_DIM."""
     dim = (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2
     if dim > ORACLE_MAX_DIM:
         raise PreconditionError(
             f"seaweed dimension {dim} exceeds the oracle budget {ORACLE_MAX_DIM}"
         )
+
+
+def _oracle_pattern(m: MeanderType) -> SeaweedPattern:
+    """seaweed_positions, once the dimension is within ORACLE_MAX_DIM."""
+    _check_budget(m)
     return seaweed_positions(m)
 
 
@@ -222,10 +236,14 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     gl(n) seaweed but absent from the sl(n) one the graph index refers to.
     A degenerate draw can only report a larger nullity, never a smaller
     one, so the minimum over trials is an upper bound that is exact for
-    generic draws.
+    generic draws.  trials runs from 1 to ORACLE_MAX_TRIALS.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if trials > ORACLE_MAX_TRIALS:
+        raise PreconditionError(
+            f"{trials} trials exceed the oracle budget {ORACLE_MAX_TRIALS}"
+        )
     if m.n == 0:
         raise PreconditionError("the empty meander has no seaweed")
     rng = random.Random(seed)
@@ -328,8 +346,9 @@ def ad_spectrum(m: MeanderType) -> Spectrum:
     direction of the gl(n) seaweed.  A non-diagonal principal element would
     invalidate the difference formula and raises ConsistencyError.  A
     meander of nonzero index, the empty one included, raises
-    NotFrobeniusError.
+    NotFrobeniusError, once the dimension is within the budget.
     """
+    _check_budget(m)
     _require_frobenius(m)
     fhat = principal_element(m)
     if not fhat.is_diagonal:
@@ -389,8 +408,9 @@ def cybe_residual(m: MeanderType) -> bool:
     the last Bareiss pivot to an integer matrix (the residual is
     homogeneous in r, so the scaling does not change whether it is zero).
     A meander of nonzero index, the empty one included, raises
-    NotFrobeniusError.
+    NotFrobeniusError, once the dimension is within the budget.
     """
+    _check_budget(m)
     _require_frobenius(m)
     basis = _sl_basis(m)
     dim = len(basis)

@@ -49,13 +49,41 @@ Inside this module each composition is held as a stack: a list in
 reverse order, whose last entry is the first block.  Every move touches
 only the first blocks, except the refined internal moves, so a down- or
 up-move appends, pops or rewrites the end of a stack in O(1), and a flip
-swaps the two stacks without copying them.  Building a signature
-therefore costs in proportion to its length, with one exception: IC, IB
-and IR (and their up-moves) still search the bottom blocks up to the
-center of the first top block, O(blocks up to the center) per move, and
-remove or insert their block at that position, which costs no more than
-the search.  The public functions take and return tuple-based
-``MeanderType`` values and convert at their boundary.
+swaps the two stacks without copying them.  The public functions take and
+return tuple-based ``MeanderType`` values and convert at their boundary.
+
+The one reduction driver, ``_reduce``, produces runs (move, count).  Where
+a run of equal moves has a closed form it is taken at once, as one
+division of a Euclid-like contraction (Dergachev and Kirillov, 2000; Coll
+et al., "Meander graphs and Frobenius seaweed Lie algebras"), so a
+signature costs per run, not per move:
+
+* R0 and R (b1 < a1 < 2b1) send a1 | b1 to b1 | b1 - d, d = a1 - b1, so d
+  stays fixed, and the next move is again a rotation while the new bottom
+  block stays above d.  From b1 the run has q = (b1 - 1) // d moves and
+  ends at bottom x = b1 - q*d, top x + d.
+* IR rewrites a center block B_i = p..p+b_i-1 to b_i = r + 1, keeping its
+  start, and a1 to a1 - delta.  Here r = min(a1 + 1 - 2p, 2(p + b_i - 1) -
+  a1 - 1) is the doubled distance from the center to the near end of B_i,
+  and delta = b_i - r - 1 > 0.  In doubled coordinates the center moves
+  delta to the left and the right end of B_i 2*delta, so both ends come
+  delta nearer the center: the near end stays the near one, r falls by
+  delta, and the next delta is (r + 1) - (r - delta) - 1, the same.  The
+  next move is again IR on B_i while r >= 0 (B_i still holds the center)
+  and a1 - delta >= 1 (no P).  a1 > 2*b1 then holds too, since the center
+  lies at or right of p > b1.  So the run has
+  q = 1 + min(r // delta, (a1 - 1) // delta - 1) moves and ends at
+  a1 - q*delta, b_i = r - (q - 1)*delta + 1.
+
+IC, IB and IR find the center block from a finger per stack: a stack
+index k and the start vertex p of that block.  A push, pop or rewrite at
+the end of a stack leaves k alone and moves p by the change in size in
+front of it, a removal at the center leaves the finger on a neighbouring
+block, and a flip swaps the two fingers.  The search starts at the last
+center block instead of the first block: on family_parabolic(2, 600, 3)
+its 900 searches move the finger 600 blocks in all.  The single steps and
+the up-moves start it at the first block.  The period-2 runs, such as
+(P0 F0)^q and (F0 B0)^q, are still taken one move at a time.
 
 The simplified down-step also makes the Frobenius meanders a tree, which
 ``_frobenius_tree`` walks by reverse search (Avis and Fukuda, 1996).  The
@@ -199,44 +227,83 @@ class WindUpError(PreconditionError):
 # ---------------------------------------------------------------------------
 
 
+# The one-move runs of the moves without a parameter.
+_ONCE = {tag: (move, 1) for tag, move in _MOVES.items()}
+
+
 # Inside this module a composition is held as a stack: a list in reverse
 # order, whose last entry is the first block.  A raw step maps the stacks
-# (top, bottom) to (tag, c, new_top, new_bottom, undo), changing them in
-# place; a flip returns them swapped.  undo encodes the inverting up-move
-# as (tag, c, block).
+# (top, bottom) to (run, new_top, new_bottom, undo), changing them in place;
+# a flip returns them swapped.  run is (move, count): a run of count equal
+# moves, at most `most`, where the run has a closed form (R0, R, IR), and
+# one move otherwise.  undo encodes the up-move that inverts each move of
+# the run as (tag, c, block).  finger = [top finger, bottom finger] holds,
+# per stack, [k, p]: a stack index k and the start vertex p of that block;
+# the refined step searches the center from it and keeps it valid, and the
+# simplified step, which never searches, ignores it.
 def _step_simplified_raw(
-    top: list[int], bottom: list[int]
-) -> tuple[str, int | None, list[int], list[int], tuple]:
+    top: list[int], bottom: list[int], finger: list[list[int]], most: int
+) -> tuple[tuple[Move, int], list[int], list[int], tuple]:
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
-        return "F0", None, bottom, top, ("~F0", None, None)
+        return _ONCE["F0"], bottom, top, ("~F0", None, None)
     if a1 == b1:
         top.pop()
         bottom.pop()
-        return "C0", a1, top, bottom, ("~C0", a1, None)
-    top[-1] = b1
+        return (Move("C0", a1), 1), top, bottom, ("~C0", a1, None)
     if a1 == 2 * b1:
+        top[-1] = b1
         bottom.pop()
-        return "B0", None, top, bottom, ("~B0", None, None)
+        return _ONCE["B0"], top, bottom, ("~B0", None, None)
     if a1 < 2 * b1:
-        bottom[-1] = 2 * b1 - a1
-        return "R0", None, top, bottom, ("~R0", None, None)
+        d = a1 - b1
+        q = (b1 - 1) // d
+        if q > most:
+            q = most
+        top[-1] = b1 - (q - 1) * d
+        bottom[-1] = b1 - q * d
+        return (_MOVES["R0"], q), top, bottom, ("~R0", None, None)
+    top[-1] = b1
     top.append(a1 - 2 * b1)
     bottom.pop()
-    return "P0", None, top, bottom, ("~P0", None, None)
+    return _ONCE["P0"], top, bottom, ("~P0", None, None)
 
 
-def _center_block(a1: int, bottom: list[int]) -> tuple[int, int, int]:
+def _front(top: list[int], bottom: list[int]) -> list[list[int]]:
+    """A finger on the first block of each stack."""
+    return [[len(top) - 1, 1], [len(bottom) - 1, 1]]
+
+
+def _set_first(stack: list[int], f: list[int], x: int) -> None:
+    """Resize the first block of stack to x, keeping its finger f valid."""
+    if f[0] != len(stack) - 1:
+        f[1] += x - stack[-1]
+    stack[-1] = x
+
+
+def _pop_first(stack: list[int], f: list[int]) -> None:
+    """Remove the first block of stack; a finger on it moves to the next."""
+    x = stack.pop()
+    if f[0] == len(stack):
+        f[0] -= 1
+        f[1] = 1
+    else:
+        f[1] -= x
+
+
+def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int, int]:
     """(k, p, q): the first bottom block, at stack index k, whose span
-    p..q reaches the center of the first top block.
+    p..q reaches the center of the first top block, searched from the
+    block at stack index k, which starts at vertex p.
 
     Doubled coordinates: vertex v sits at 2v, the center at a1 + 1.  The
     block contains the center when 2p <= a1 + 1; otherwise a1 is even and
     the center is the gap after the block at k + 1, which ends at a1/2.
     """
-    k = len(bottom) - 1
-    p = 1
+    while 2 * (p - 1) > a1:
+        k += 1
+        p -= bottom[k]
     while True:
         q = p + bottom[k] - 1
         if 2 * q > a1:
@@ -246,74 +313,108 @@ def _center_block(a1: int, bottom: list[int]) -> tuple[int, int, int]:
 
 
 def _step_refined_raw(
-    top: list[int], bottom: list[int]
-) -> tuple[str, int | None, list[int], list[int], tuple]:
+    top: list[int], bottom: list[int], finger: list[list[int]], most: int
+) -> tuple[tuple[Move, int], list[int], list[int], tuple]:
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
-        return "F", None, bottom, top, ("~F", None, None)
+        finger.reverse()
+        return _ONCE["F"], bottom, top, ("~F", None, None)
+    ft, fb = finger
     if a1 == b1:
-        top.pop()
-        bottom.pop()
-        return "C", a1, top, bottom, ("~C", a1, None)
+        _pop_first(top, ft)
+        _pop_first(bottom, fb)
+        return (Move("C", a1), 1), top, bottom, ("~C", a1, None)
     if a1 == 2 * b1:
-        top[-1] = b1
-        bottom.pop()
-        return "B", None, top, bottom, ("~B", None, None)
+        _set_first(top, ft, b1)
+        _pop_first(bottom, fb)
+        return _ONCE["B"], top, bottom, ("~B", None, None)
     if a1 < 2 * b1:
-        top[-1] = b1
-        bottom[-1] = 2 * b1 - a1
-        return "R", None, top, bottom, ("~R", None, None)
+        d = a1 - b1
+        q = (b1 - 1) // d
+        if q > most:
+            q = most
+        _set_first(top, ft, b1 - (q - 1) * d)
+        _set_first(bottom, fb, b1 - q * d)
+        return (_MOVES["R"], q), top, bottom, ("~R", None, None)
 
     # a1 > 2*b1: the bottom block around the center of A1 decides; it is
-    # block i = len(bottom) - 1 - k counting from the front, from 0.
-    k, p, q = _center_block(a1, bottom)
+    # block i = len(bottom) - 1 - k counting from the front, from 0, and it
+    # is never the first block, which ends at b1 < a1/2.
+    k, p, q = _center_block(a1, bottom, fb[0], fb[1])
+    fb[0] = k
     if 2 * p > a1 + 1:
         # the center is a gap between bottom blocks: remove the block
         # ending at a1/2 and reinsert it in front of the block now at i + 1
         i = len(bottom) - 1 - k
-        top[-1] = a1 - bottom[k + 1]
-        del bottom[k + 1]
-        return "IB", None, top, bottom, ("~IB", None, i)
+        x = bottom.pop(k + 1)
+        fb[1] = p - x
+        _set_first(top, ft, a1 - x)
+        return _ONCE["IB"], top, bottom, ("~IB", None, i)
 
     bi = bottom[k]
     if p + q == a1 + 1:
-        top[-1] = a1 - bi
         del bottom[k]
-        return "IC", bi, top, bottom, ("~IC", bi, None)
-    r2 = min(abs(2 * p - a1 - 1), abs(2 * q - a1 - 1))
-    s = r2 + 1
-    delta = bi - s
+        fb[1] = p - bottom[k]
+        _set_first(top, ft, a1 - bi)
+        return (Move("IC", bi), 1), top, bottom, ("~IC", bi, None)
+    fb[1] = p
+    r = min(a1 + 1 - 2 * p, 2 * q - a1 - 1)
+    delta = bi - r - 1
     if a1 - delta < 1:
         # the center block extends too far past A1 for the rotation
         # rewrite; contract purely instead
-        top[-1] = b1
+        _set_first(top, ft, b1)
         top.append(a1 - 2 * b1)
-        bottom.pop()
-        return "P", None, top, bottom, ("~P", None, None)
-    top[-1] = a1 - delta
-    bottom[k] = s
-    return "IR", None, top, bottom, ("~IR", None, len(bottom) - k)
+        ft[1] += a1 - 2 * b1  # a new first block lies in front of any finger
+        _pop_first(bottom, fb)
+        return _ONCE["P"], top, bottom, ("~P", None, None)
+    # each IR lowers a1 and the near distance r by delta and keeps block
+    # i the center block; the run ends before r < 0 or P
+    q = 1 + min(r // delta, (a1 - 1) // delta - 1)
+    if q > most:
+        q = most
+    _set_first(top, ft, a1 - q * delta)
+    bottom[k] = r - (q - 1) * delta + 1
+    return (_MOVES["IR"], q), top, bottom, ("~IR", None, len(bottom) - k)
 
 
 def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     if m.n == 0:
         raise PreconditionError("cannot wind down the empty meander")
-    tag, c, nt, nb, undo = step_raw(list(reversed(m.top)), list(reversed(m.bottom)))
-    move = _MOVES.get(tag) or Move(tag, c)
+    top = list(reversed(m.top))
+    bottom = list(reversed(m.bottom))
+    (move, _), nt, nb, undo = step_raw(top, bottom, _front(top, bottom), 1)
     return move, MeanderType(nt[::-1], nb[::-1]), _UP_MOVES.get(undo[0]) or UpMove(*undo)
 
 
-def _reduce(top: Composition, bottom: Composition, step_raw) -> list[Move]:
-    """Apply step_raw until the meander is empty; the moves taken."""
+def _reduce(top: Composition, bottom: Composition, step_raw) -> list[tuple[Move, int]]:
+    """Apply step_raw until the meander is empty; the runs (move, count)
+    taken.  Every run is shorter than the order, so capping runs at the
+    order takes each of them whole."""
     if not top:
         raise PreconditionError("the empty meander has the empty signature")
+    most = sum(top)
     top = list(reversed(top))
     bottom = list(reversed(bottom))
-    sig = []
+    finger = _front(top, bottom)
+    runs: list[tuple[Move, int]] = []
+    append = runs.append
     while top:
-        tag, c, top, bottom, _ = step_raw(top, bottom)
-        sig.append(_MOVES.get(tag) or Move(tag, c))
+        run, top, bottom, _ = step_raw(top, bottom, finger, most)
+        append(run)
+    return runs
+
+
+def _expand(runs: list[tuple[Move, int]]) -> list[Move]:
+    """The signature: each run written out as count equal moves."""
+    sig: list[Move] = []
+    append = sig.append
+    for move, q in runs:
+        if q == 1:
+            append(move)
+        else:
+            sig += [move] * q
     return sig
 
 
@@ -325,7 +426,7 @@ def step_simplified(m: MeanderType) -> tuple[Move, MeanderType]:
 
 def signature_simplified(m: MeanderType) -> list[Move]:
     """Reduce m to the empty meander; the unique simplified signature."""
-    return _reduce(m.top, m.bottom, _step_simplified_raw)
+    return _expand(_reduce(m.top, m.bottom, _step_simplified_raw))
 
 
 def step_refined(m: MeanderType) -> tuple[Move, MeanderType]:
@@ -341,7 +442,7 @@ def step_refined_full(m: MeanderType) -> RefinedStep:
 
 def signature_refined(m: MeanderType) -> list[Move]:
     """Reduce m to the empty meander over the refined alphabet."""
-    return _reduce(m.top, m.bottom, _step_refined_raw)
+    return _expand(_reduce(m.top, m.bottom, _step_refined_raw))
 
 
 def index_from_signature(sig: Sequence[Move]) -> int:
@@ -405,8 +506,16 @@ class PlaneHomotopyType:
 
 def homotopy_type(m: MeanderType) -> PlaneHomotopyType:
     """One symbol per component-elimination move of the simplified signature."""
-    sig = signature_simplified(m)
-    return PlaneHomotopyType.from_parameters(mv.c for mv in sig if mv.c is not None)
+    return PlaneHomotopyType.from_parameters(_parameters(m))
+
+
+def _parameters(m: MeanderType) -> list[int]:
+    """The elimination parameters of the simplified signature, read from
+    its runs without expanding them: an elimination is always a run of one.
+    Their sum minus one is the index, at a cost that does not grow with
+    the order."""
+    runs = _reduce(m.top, m.bottom, _step_simplified_raw)
+    return [move.c for move, _ in runs if move.c is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +531,7 @@ def _apply_up_raw(
     bottom: list[int],
 ) -> tuple[list[int], list[int]]:
     """Apply one up-move to the stacks (top, bottom) in place; raises
-    PreconditionError.  A flip returns the two stacks swapped.  After a
-    failed ~IR check the stacks are left changed: callers discard them.
+    PreconditionError.  A flip returns the two stacks swapped.
     """
     if tag in ("~C", "~C0"):
         if c is None or c < 1:
@@ -459,7 +567,7 @@ def _apply_up_raw(
             raise PreconditionError("~IC needs a positive size")
         if a1 % 2:
             raise PreconditionError("~IC requires an even first top block")
-        k, p, _ = _center_block(a1, bottom)
+        k, p, _ = _center_block(a1, bottom, len(bottom) - 1, 1)
         if 2 * p <= a1 + 1:
             raise PreconditionError(
                 "~IC requires the vertex a1/2 to end a bottom block"
@@ -482,15 +590,13 @@ def _apply_up_raw(
         bottom.insert(k, size)
     elif tag == "~IR":
         if block is None:
-            k, p, _ = _center_block(a1, bottom)
+            k, p, _ = _center_block(a1, bottom, len(bottom) - 1, 1)
             if 2 * p > a1 + 1:
                 raise PreconditionError(
                     "~IR: no bottom block contains the center of the first top block"
                 )
-            j = len(bottom) - k
         elif 1 <= block <= len(bottom):
-            j = block
-            k = len(bottom) - j
+            k = len(bottom) - block
             p = 1 + sum(bottom[k + 1 :])
         else:
             raise PreconditionError(f"~IR block index {block} out of range")
@@ -498,12 +604,8 @@ def _apply_up_raw(
         delta = abs(a1 + 2 - 2 * p - bj)
         if delta == 0:
             raise PreconditionError("~IR: target block would be centered (use ~IC)")
-        top[-1] = a1 + delta
-        bottom[k] = bj + delta
-        # the expansion is valid exactly when it inverts a refined IR step,
-        # which changes no entry but these two
-        tag2, _, _, _, undo = _step_refined_raw(top, bottom)
-        if tag2 != "IR" or undo[2] != j or top[-1] != a1 or bottom[k] != bj:
+        # every other block is undone by IR; see _valid_up_moves
+        if k == len(bottom) - 1:
             raise PreconditionError(
                 "~IR: expanding this block does not invert a rotation contraction"
             )
@@ -599,23 +701,33 @@ def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
 
 
 def _valid_up_moves(top: list[int], bottom: list[int]) -> list[UpMove]:
-    """All Frobenius-preserving up-moves applicable to the stacks (top, bottom)."""
+    """All Frobenius-preserving up-moves applicable to the stacks (top, bottom).
+
+    One pass over the bottom blocks, with p the start vertex of block j,
+    finds the ~IB and the ~IR targets.  ~IR expands block j by delta =
+    |a1 + 2 - 2p - b_j|, which puts the near end of the expanded block at
+    the doubled distance b_j - 1 from the new center: its left end when
+    a1 + 2 - 2p - b_j < 0, its right end otherwise.  The far end is 2*delta
+    farther, so the refined step of the result is IR on block j with
+    s = b_j, giving back a1 and b_j, exactly when delta > 0 and j > 1: the
+    new center lies at or right of p > b1, so a1 + delta > 2*b1.
+    """
     a1 = top[-1]
+    b1 = bottom[-1]
     out = [_UP_MOVES["~F"], _UP_MOVES["~B"]]
-    if a1 > bottom[-1]:
+    if a1 > b1:
         out.append(_UP_MOVES["~R"])
-    p = 1
-    for b in range(1, len(bottom) + 1):
-        if b > 1 and a1 - 2 * (p - 1) >= 1:
-            out.append(UpMove("~IB", block=b))
-        p += bottom[-b]
-    for j in range(1, len(bottom) + 1):
-        try:
-            _apply_up_raw("~IR", None, j, top.copy(), bottom.copy())
-        except PreconditionError:
-            continue
-        out.append(UpMove("~IR", block=j))
-    return out
+    ir = []
+    p = 1 + b1
+    for j in range(2, len(bottom) + 1):
+        bj = bottom[-j]
+        if 2 * p <= a1 + 1:
+            out.append(UpMove("~IB", block=j))
+        delta = abs(a1 + 2 - 2 * p - bj)
+        if delta:
+            ir.append(UpMove("~IR", block=j))
+        p += bj
+    return out + ir
 
 
 def generate_frobenius(moves: int, seed: int) -> MeanderType:

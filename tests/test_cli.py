@@ -5,6 +5,8 @@ import sys
 
 from meanderkit.cli import ascii_diagram, run, svg_diagram
 from meanderkit import parse_type
+from meanderkit.lie import ORACLE_MAX_TRIALS
+from meanderkit.winding import _reduce, _step_simplified_raw
 
 
 def call(*argv):
@@ -130,11 +132,35 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path):
 
 
 def test_oracle_over_budget_exit_two():
-    # seaweed dimension 160 401, far over the oracle budget
-    for sub in ("index", "principal", "spectrum", "cybe"):
-        code, out, err = call("oracle", sub, "1|400/401")
-        assert (code, out) == (2, "")
-        assert "exceeds the oracle budget" in err and "Traceback" not in err
+    # seaweed dimensions from 400 to about 4 * 10**12, over the oracle
+    # budget; 2|2000000/2000002 and 20/20 have nonzero index, and the
+    # budget, which needs only the block sizes, comes before the Frobenius
+    # check
+    for meander in ("1|400/401", "2|2000000/2000002", "20/20"):
+        for sub in ("index", "principal", "spectrum", "cybe"):
+            code, out, err = call("oracle", sub, meander)
+            assert (code, out) == (2, "")
+            assert "exceeds the oracle budget" in err and "Traceback" not in err
+
+
+def test_oracle_trials_bound():
+    bound = str(ORACLE_MAX_TRIALS)
+    code, out, err = call("oracle", "index", "1|2/3", "--trials", str(ORACLE_MAX_TRIALS + 1))
+    assert (code, out) == (2, "") and f"exceed the oracle budget {bound}" in err
+    assert call("oracle", "index", "1|2/3", "--trials", bound)[:2] == (
+        0,
+        f"0 trials={bound} seed=0\n",
+    )
+
+
+def test_index_and_check_of_astronomical_order():
+    # the signature has about 10**11 moves; index and check read its runs,
+    # and fail here first if runs of R0 were taken one move at a time
+    assert len(_reduce((1, 10**5), (10**5 + 1,), _step_simplified_raw)) == 6
+    assert call("index", "1|100000000000/100000000001") == (0, "0\n", "")
+    assert call("check", "1|100000000000/100000000001") == (0, "frobenius index=0\n", "")
+    assert call("index", "6|100000000000/100000000006") == (0, "1\n", "")
+    assert call("homotopy", "6|100000000000/100000000006") == (0, "(o)\n", "")
 
 
 def test_check_verb():

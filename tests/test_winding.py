@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meanderkit import (
+    FourBlockType,
     MeanderType,
     Move,
     PreconditionError,
@@ -19,8 +20,10 @@ from meanderkit import (
     generate_frobenius,
     hat_reversed,
     homotopy_type,
+    index_four_block,
     index_from_signature,
     index_naive,
+    index_two_block,
     is_frobenius,
     parse_signature,
     parse_type,
@@ -36,6 +39,13 @@ from meanderkit import (
 )
 
 from meanderkit.core import _index
+from meanderkit.winding import (
+    _apply_up_raw,
+    _frobenius_tree,
+    _reduce,
+    _step_simplified_raw,
+    _valid_up_moves,
+)
 
 from conftest import compositions, random_meander
 
@@ -383,6 +393,35 @@ def test_parabolic_family_frobenius_at_scale():
     m = family_parabolic(2, 5000, 3)
     assert is_frobenius(signature_simplified(m))
     assert is_frobenius(signature_refined(m))
+    # 20 000 blocks: a center search from the first block on every
+    # internal move would take tens of seconds here
+    assert is_frobenius(signature_refined(family_parabolic(2, 20000, 1)))
+
+
+def _index_from_runs(m):
+    return sum(homotopy_type(m).parameters()) - 1
+
+
+def test_index_from_runs_matches_closed_forms_near_1e18():
+    # each signature has about 10**18 moves; only its runs are computed.
+    # F0 P0 F0 R0^(N-2) B0 C0(1) is six runs: fail here first, not by
+    # exhausting memory one move at a time below, if runs were not taken
+    assert len(_reduce((1, 10**5), (10**5 + 1,), _step_simplified_raw)) == 6
+    rng = random.Random(1018)
+    for _ in range(200):
+        a, b, c = (rng.randint(10**18 - 10**6, 10**18 + 10**6) for _ in range(3))
+        assert _index_from_runs(MeanderType((a, b), (a + b,))) == index_two_block(a, b)
+        g = rng.randint(1, 10**6)
+        assert _index_from_runs(MeanderType((g * a, g * b), (g * (a + b),))) == index_two_block(
+            g * a, g * b
+        )
+        d = rng.randint(1, a + b - 1)
+        four = FourBlockType("top-two", a, b, d, a + b - d)
+        assert _index_from_runs(four.to_meander()) == index_four_block(four)
+        four = FourBlockType("bottom-three", a, b, c, a + b + c)
+        assert _index_from_runs(four.to_meander()) == index_four_block(four)
+    m = MeanderType((1, 10**18), (10**18 + 1,))
+    assert homotopy_type(m).parameters() == (1,)
 
 
 # --- round-trip properties -------------------------------------------------------
@@ -415,7 +454,74 @@ def test_refined_undo_moves_wind_back_up(m):
 
 
 @given(_meanders())
+def test_signatures_and_homotopy_match_reference(m):
+    # parts up to 10**4 reach long R0, R and IR runs
+    simplified, refined, _ = _ref_signatures(m)
+    assert signature_simplified(m) == simplified
+    assert signature_refined(m) == refined
+    params = sorted((mv.c for mv in simplified if mv.c is not None), reverse=True)
+    assert homotopy_type(m).parameters() == tuple(params)
+
+
+@given(_meanders())
 def test_signature_indices_agree_with_walk(m):
     walk = _index(m.top, m.bottom)
     assert index_from_signature(signature_simplified(m)) == walk
     assert index_from_signature(signature_refined(m)) == walk
+
+
+# --- the one-pass up-move targets against copy-and-step ------------------------
+
+
+def _slow_valid_up_moves(m):
+    """The up-moves _valid_up_moves lists, each ~IR target found by
+    expanding a copy of the meander and stepping it back down."""
+    top, bottom = m.top, m.bottom
+    a1 = top[0]
+    out = [UpMove("~F"), UpMove("~B")]
+    if a1 > bottom[0]:
+        out.append(UpMove("~R"))
+    p = 1
+    for j, bj in enumerate(bottom, 1):
+        if j > 1 and a1 - 2 * (p - 1) >= 1:
+            out.append(UpMove("~IB", block=j))
+        p += bj
+    p = 1
+    for j, bj in enumerate(bottom, 1):
+        delta = abs(a1 + 2 - 2 * p - bj)
+        if delta:
+            up = MeanderType((a1 + delta,) + top[1:], bottom[: j - 1] + (bj + delta,) + bottom[j:])
+            step = step_refined_full(up)
+            if step.move.tag == "IR" and step.undo.block == j and step.result == m:
+                out.append(UpMove("~IR", block=j))
+        p += bj
+    return out
+
+
+def _assert_up_moves_match(m):
+    fast = _valid_up_moves(list(reversed(m.top)), list(reversed(m.bottom)))
+    assert fast == _slow_valid_up_moves(m)
+    # an explicit ~IR applies exactly on the listed targets
+    targets = {mv.block for mv in fast if mv.tag == "~IR"}
+    for j in range(1, len(m.bottom) + 1):
+        try:
+            apply_up_move(UpMove("~IR", block=j), m)
+        except PreconditionError:
+            assert j not in targets
+        else:
+            assert j in targets
+
+
+def test_valid_up_moves_match_copy_and_step_exhaustive():
+    for top, bottom in _frobenius_tree(10):
+        _assert_up_moves_match(MeanderType(top, bottom))
+
+
+def test_valid_up_moves_match_copy_and_step_along_chains():
+    for seed in range(12):
+        rng = random.Random(seed)
+        top, bottom = [1], [1]
+        for _ in range(120):
+            _assert_up_moves_match(MeanderType(tuple(top[::-1]), tuple(bottom[::-1])))
+            mv = rng.choice(_valid_up_moves(top, bottom))
+            top, bottom = _apply_up_raw(mv.tag, mv.c, mv.block, top, bottom)
