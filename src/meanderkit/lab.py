@@ -138,13 +138,14 @@ def _canonical_vectors(max_coef: int) -> list[tuple[int, ...]]:
 def _scan_slice(
     args: tuple[list[tuple[int, ...]], int, int, list[tuple[int, ...]], list[tuple[int, ...]]],
 ) -> tuple[list[dict], int]:
-    """Worker over a disjoint slice of first-vector indices."""
-    vectors, lo, hi, frob_vecs, non_vecs = args
+    """Worker w of k, over the first vectors w, w + k, w + 2k, ...: each
+    inner loop runs to the end, so interleaving evens out the slices."""
+    vectors, w, k, frob_vecs, non_vecs = args
     # every Frobenius vector must give a coprime pair, and no other may
     checks = ((frob_vecs, True), (non_vecs, False))
     survivors: list[dict] = []
     checked = 0
-    for ai in range(lo, hi):
+    for ai in range(w, len(vectors), k):
         alpha = vectors[ai]
         for bi in range(ai, len(vectors)):
             beta = vectors[bi]
@@ -187,8 +188,8 @@ def search_gcd_conditions(
     whole vector and swapping the two vectors do not change the condition,
     so only canonical representatives are enumerated.  When sample_size is
     given, each sample list is reduced to a seeded random subsample.
-    Workers split the first-vector index range; the merged result does not
-    depend on the worker count.
+    Workers take interleaved slices of the first vectors; the merged result
+    does not depend on the worker count.
     """
     if max_coef < 1:
         raise PreconditionError("max_coef must be >= 1")
@@ -212,22 +213,17 @@ def search_gcd_conditions(
     frob_vecs = _size_vectors(sample)
     non_vecs = _size_vectors(non_sample)
     vectors = _canonical_vectors(max_coef)
-    if workers > 1:
+    k = max(workers, 1)
+    tasks = [(vectors, w, k, frob_vecs, non_vecs) for w in range(k)]
+    if k > 1:
         from multiprocessing import Pool
 
-        bounds = [
-            (len(vectors) * w // workers, len(vectors) * (w + 1) // workers)
-            for w in range(workers)
-        ]
-        with Pool(workers) as pool:
-            parts = pool.map(
-                _scan_slice,
-                [(vectors, lo, hi, frob_vecs, non_vecs) for lo, hi in bounds],
-            )
-        survivors = [s for part, _ in parts for s in part]
-        checked = sum(c for _, c in parts)
+        with Pool(k) as pool:
+            parts = pool.map(_scan_slice, tasks)
     else:
-        survivors, checked = _scan_slice((vectors, 0, len(vectors), frob_vecs, non_vecs))
+        parts = [_scan_slice(tasks[0])]
+    survivors = [s for part, _ in parts for s in part]
+    checked = sum(c for _, c in parts)
     survivors.sort(key=lambda d: (d["alpha"], d["beta"]))
     return ScanReport(
         kind="gcd-conditions",

@@ -417,7 +417,8 @@ def cybe_residual(m: MeanderType) -> bool:
     if dim == 0:
         return True
     f = canonical_functional(m)
-    mat = [[_feval(f, _bracket(basis[a], basis[b])) for b in range(dim)] for a in range(dim)]
+    brackets = [[_bracket(basis[a], basis[c]) for c in range(dim)] for a in range(dim)]
+    mat = [[_feval(f, x) for x in row] for row in brackets]
     identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
     # A X = I has a solution exactly when the matrix is invertible
     solved = _solve(mat, identity)
@@ -425,7 +426,6 @@ def cybe_residual(m: MeanderType) -> bool:
         raise PreconditionError("Kirillov matrix is degenerate on the sl part")
     rmat = solved[1]  # d times the inverse
 
-    brackets = [[_bracket(basis[a], basis[c]) for c in range(dim)] for a in range(dim)]
     acc: dict[tuple[Position, Position, Position], int] = {}
 
     def add(t1: Matrix, t2: Matrix, t3: Matrix, coef: int) -> None:

@@ -113,7 +113,8 @@ def measure(m: MeanderType, i: int, j: int) -> int:
     """Forward minus backward arcs along the unique path from v_i to v_j.
 
     Raises PreconditionError when the vertices live in different components
-    or their component is a cycle (no unique route).
+    or their component is a cycle (no unique route).  Each call costs O(n):
+    it builds the partner arrays and walks every path of the meander.
     """
     n = m.n
     if not (1 <= i <= n and 1 <= j <= n):

@@ -45,12 +45,12 @@ empty meander rebuilds the meander.  The up-moves double as free
 constructors, which is how ``generate_frobenius`` manufactures index-zero
 meanders of any size.
 
-Inside this module each composition is held as a stack: a list in
-reverse order, whose last entry is the first block.  Every move touches
-only the first blocks, except the refined internal moves, so a down- or
-up-move appends, pops or rewrites the end of a stack in O(1), and a flip
-swaps the two stacks without copying them.  The public functions take and
-return tuple-based ``MeanderType`` values and convert at their boundary.
+Inside this module a meander is one pair ``sides = [top, bottom]`` of
+stacks: lists in reverse order, whose last entry is the first block.
+Every move touches only the first blocks, except the refined internal
+moves, so a down- or up-move appends, pops or rewrites the end of a stack
+in O(1), and a flip reverses the pair in place.  The public functions take
+and return tuple-based ``MeanderType`` values and convert at their boundary.
 
 The one reduction driver, ``_reduce``, produces runs (move, count).  Where
 a run of equal moves has a closed form it is taken at once, as one
@@ -79,7 +79,7 @@ IC, IB and IR find the center block from a finger per stack: a stack
 index k and the start vertex p of that block.  A push, pop or rewrite at
 the end of a stack leaves k alone and moves p by the change in size in
 front of it, a removal at the center leaves the finger on a neighbouring
-block, and a flip swaps the two fingers.  The search starts at the last
+block, and a flip reverses the two fingers.  The search starts at the last
 center block instead of the first block: on family_parabolic(2, 600, 3)
 its 900 searches move the finger 600 blocks in all.  The single steps and
 the up-moves start it at the first block.  The period-2 runs, such as
@@ -207,9 +207,8 @@ class RefinedStep:
 _MOVES = {
     tag: Move(tag) for tag in SIMPLIFIED_TAGS + REFINED_TAGS if tag not in _PARAMETRIC
 }
-_UP_MOVES = {
-    "~" + tag: UpMove("~" + tag) for tag in ("F0", "B0", "R0", "P0", "F", "B", "R", "P")
-}
+# Their inverses are shared too, except ~IB and ~IR, which name a block.
+_UP_MOVES = {"~" + tag: UpMove("~" + tag) for tag in _MOVES if tag not in ("IB", "IR")}
 
 
 class WindUpError(PreconditionError):
@@ -231,31 +230,41 @@ class WindUpError(PreconditionError):
 _ONCE = {tag: (move, 1) for tag, move in _MOVES.items()}
 
 
-# Inside this module a composition is held as a stack: a list in reverse
-# order, whose last entry is the first block.  A raw step maps the stacks
-# (top, bottom) to (run, new_top, new_bottom, undo), changing them in place;
-# a flip returns them swapped.  run is (move, count): a run of count equal
-# moves, at most `most`, where the run has a closed form (R0, R, IR), and
-# one move otherwise.  undo encodes the up-move that inverts each move of
-# the run as (tag, c, block).  finger = [top finger, bottom finger] holds,
-# per stack, [k, p]: a stack index k and the start vertex p of that block;
-# the refined step searches the center from it and keeps it valid, and the
-# simplified step, which never searches, ignores it.
+def _sides(top: Composition, bottom: Composition) -> list[list[int]]:
+    """The pair [top, bottom] of stacks that holds the meander top/bottom."""
+    return [list(reversed(top)), list(reversed(bottom))]
+
+
+def _meander(sides: list[list[int]]) -> MeanderType:
+    """The meander held by the pair of stacks sides."""
+    return MeanderType(sides[0][::-1], sides[1][::-1])
+
+
+# A raw step changes the pair sides = [top, bottom] in place and returns
+# the run it took, (move, count): a run of count equal moves, at most
+# `most`, where the run has a closed form (R0, R, IR), and one move
+# otherwise.  A flip reverses sides.  finger = [top finger, bottom finger]
+# holds, per stack, [k, p]: a stack index k and the start vertex p of that
+# block; the refined step searches the center from it, keeps it valid and
+# reverses it on a flip, and the simplified step, which never searches,
+# ignores it.
 def _step_simplified_raw(
-    top: list[int], bottom: list[int], finger: list[list[int]], most: int
-) -> tuple[tuple[Move, int], list[int], list[int], tuple]:
+    sides: list[list[int]], finger: list[list[int]], most: int
+) -> tuple[Move, int]:
+    top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
-        return _ONCE["F0"], bottom, top, ("~F0", None, None)
+        sides.reverse()
+        return _ONCE["F0"]
     if a1 == b1:
         top.pop()
         bottom.pop()
-        return (Move("C0", a1), 1), top, bottom, ("~C0", a1, None)
+        return Move("C0", a1), 1
     if a1 == 2 * b1:
         top[-1] = b1
         bottom.pop()
-        return _ONCE["B0"], top, bottom, ("~B0", None, None)
+        return _ONCE["B0"]
     if a1 < 2 * b1:
         d = a1 - b1
         q = (b1 - 1) // d
@@ -263,16 +272,16 @@ def _step_simplified_raw(
             q = most
         top[-1] = b1 - (q - 1) * d
         bottom[-1] = b1 - q * d
-        return (_MOVES["R0"], q), top, bottom, ("~R0", None, None)
+        return _MOVES["R0"], q
     top[-1] = b1
     top.append(a1 - 2 * b1)
     bottom.pop()
-    return _ONCE["P0"], top, bottom, ("~P0", None, None)
+    return _ONCE["P0"]
 
 
-def _front(top: list[int], bottom: list[int]) -> list[list[int]]:
+def _front(sides: list[list[int]]) -> list[list[int]]:
     """A finger on the first block of each stack."""
-    return [[len(top) - 1, 1], [len(bottom) - 1, 1]]
+    return [[len(stack) - 1, 1] for stack in sides]
 
 
 def _set_first(stack: list[int], f: list[int], x: int) -> None:
@@ -313,22 +322,24 @@ def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int,
 
 
 def _step_refined_raw(
-    top: list[int], bottom: list[int], finger: list[list[int]], most: int
-) -> tuple[tuple[Move, int], list[int], list[int], tuple]:
+    sides: list[list[int]], finger: list[list[int]], most: int
+) -> tuple[Move, int]:
+    top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
+        sides.reverse()
         finger.reverse()
-        return _ONCE["F"], bottom, top, ("~F", None, None)
+        return _ONCE["F"]
     ft, fb = finger
     if a1 == b1:
         _pop_first(top, ft)
         _pop_first(bottom, fb)
-        return (Move("C", a1), 1), top, bottom, ("~C", a1, None)
+        return Move("C", a1), 1
     if a1 == 2 * b1:
         _set_first(top, ft, b1)
         _pop_first(bottom, fb)
-        return _ONCE["B"], top, bottom, ("~B", None, None)
+        return _ONCE["B"]
     if a1 < 2 * b1:
         d = a1 - b1
         q = (b1 - 1) // d
@@ -336,28 +347,27 @@ def _step_refined_raw(
             q = most
         _set_first(top, ft, b1 - (q - 1) * d)
         _set_first(bottom, fb, b1 - q * d)
-        return (_MOVES["R"], q), top, bottom, ("~R", None, None)
+        return _MOVES["R"], q
 
     # a1 > 2*b1: the bottom block around the center of A1 decides; it is
-    # block i = len(bottom) - 1 - k counting from the front, from 0, and it
-    # is never the first block, which ends at b1 < a1/2.
+    # never the first block, which ends at b1 < a1/2.  IB and IR leave the
+    # bottom finger on the block that their up-move targets.
     k, p, q = _center_block(a1, bottom, fb[0], fb[1])
     fb[0] = k
     if 2 * p > a1 + 1:
         # the center is a gap between bottom blocks: remove the block
-        # ending at a1/2 and reinsert it in front of the block now at i + 1
-        i = len(bottom) - 1 - k
+        # ending at a1/2, which ~IB reinserts in front of the block at k
         x = bottom.pop(k + 1)
         fb[1] = p - x
         _set_first(top, ft, a1 - x)
-        return _ONCE["IB"], top, bottom, ("~IB", None, i)
+        return _ONCE["IB"]
 
     bi = bottom[k]
     if p + q == a1 + 1:
         del bottom[k]
         fb[1] = p - bottom[k]
         _set_first(top, ft, a1 - bi)
-        return (Move("IC", bi), 1), top, bottom, ("~IC", bi, None)
+        return Move("IC", bi), 1
     fb[1] = p
     r = min(a1 + 1 - 2 * p, 2 * q - a1 - 1)
     delta = bi - r - 1
@@ -368,24 +378,27 @@ def _step_refined_raw(
         top.append(a1 - 2 * b1)
         ft[1] += a1 - 2 * b1  # a new first block lies in front of any finger
         _pop_first(bottom, fb)
-        return _ONCE["P"], top, bottom, ("~P", None, None)
+        return _ONCE["P"]
     # each IR lowers a1 and the near distance r by delta and keeps block
-    # i the center block; the run ends before r < 0 or P
+    # k the center block; the run ends before r < 0 or P
     q = 1 + min(r // delta, (a1 - 1) // delta - 1)
     if q > most:
         q = most
     _set_first(top, ft, a1 - q * delta)
     bottom[k] = r - (q - 1) * delta + 1
-    return (_MOVES["IR"], q), top, bottom, ("~IR", None, len(bottom) - k)
+    return _MOVES["IR"], q
 
 
 def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     if m.n == 0:
         raise PreconditionError("cannot wind down the empty meander")
-    top = list(reversed(m.top))
-    bottom = list(reversed(m.bottom))
-    (move, _), nt, nb, undo = step_raw(top, bottom, _front(top, bottom), 1)
-    return move, MeanderType(nt[::-1], nb[::-1]), _UP_MOVES.get(undo[0]) or UpMove(*undo)
+    sides = _sides(m.top, m.bottom)
+    finger = _front(sides)
+    move, _ = step_raw(sides, finger, 1)
+    tag = "~" + move.tag
+    # ~C and ~IC take the size, ~IB and ~IR the block under the bottom finger
+    block = None if move.c else len(sides[1]) - finger[1][0]
+    return move, _meander(sides), _UP_MOVES.get(tag) or UpMove(tag, move.c, block)
 
 
 def _reduce(top: Composition, bottom: Composition, step_raw) -> list[tuple[Move, int]]:
@@ -395,14 +408,12 @@ def _reduce(top: Composition, bottom: Composition, step_raw) -> list[tuple[Move,
     if not top:
         raise PreconditionError("the empty meander has the empty signature")
     most = sum(top)
-    top = list(reversed(top))
-    bottom = list(reversed(bottom))
-    finger = _front(top, bottom)
+    sides = _sides(top, bottom)
+    finger = _front(sides)
     runs: list[tuple[Move, int]] = []
     append = runs.append
-    while top:
-        run, top, bottom, _ = step_raw(top, bottom, finger, most)
-        append(run)
+    while sides[0]:
+        append(step_raw(sides, finger, most))
     return runs
 
 
@@ -524,25 +535,23 @@ def _parameters(m: MeanderType) -> list[int]:
 
 
 def _apply_up_raw(
-    tag: str,
-    c: int | None,
-    block: int | None,
-    top: list[int],
-    bottom: list[int],
-) -> tuple[list[int], list[int]]:
-    """Apply one up-move to the stacks (top, bottom) in place; raises
-    PreconditionError.  A flip returns the two stacks swapped.
+    tag: str, c: int | None, block: int | None, sides: list[list[int]]
+) -> None:
+    """Apply one up-move to the pair sides = [top, bottom] of stacks in
+    place; raises PreconditionError.  A flip reverses sides.
     """
+    top, bottom = sides
     if tag in ("~C", "~C0"):
         if c is None or c < 1:
             raise PreconditionError("component creation needs a positive size")
         top.append(c)
         bottom.append(c)
-        return top, bottom
+        return
     if tag in ("~F", "~F0"):
         if not top:
             raise PreconditionError("cannot flip the empty meander")
-        return bottom, top
+        sides.reverse()
+        return
     if not top:
         raise PreconditionError("only component creation applies to the empty meander")
     a1 = top[-1]
@@ -613,15 +622,13 @@ def _apply_up_raw(
         bottom[k] = bj + delta
     else:
         raise PreconditionError(f"unknown up-move tag {tag!r}")
-    return top, bottom
 
 
 def apply_up_move(move: UpMove, m: MeanderType) -> MeanderType:
     """Apply one up-move to a meander (the empty meander is MeanderType((), ()))."""
-    nt, nb = _apply_up_raw(
-        move.tag, move.c, move.block, list(reversed(m.top)), list(reversed(m.bottom))
-    )
-    return MeanderType(nt[::-1], nb[::-1])
+    sides = _sides(m.top, m.bottom)
+    _apply_up_raw(move.tag, move.c, move.block, sides)
+    return _meander(sides)
 
 
 def wind_up(seq: Iterable[UpMove]) -> MeanderType:
@@ -631,20 +638,19 @@ def wind_up(seq: Iterable[UpMove]) -> MeanderType:
     is checked at application time; violations raise WindUpError carrying
     the 1-based step index.
     """
-    top: list[int] = []
-    bottom: list[int] = []
+    sides = _sides((), ())
     step = 0
     for move in seq:
         step += 1
         if step == 1 and move.tag not in ("~C", "~C0"):
             raise WindUpError(step, move, "the first move must create a component")
         try:
-            top, bottom = _apply_up_raw(move.tag, move.c, move.block, top, bottom)
+            _apply_up_raw(move.tag, move.c, move.block, sides)
         except PreconditionError as exc:
             raise WindUpError(step, move, str(exc)) from exc
     if step == 0:
         raise WindUpError(0, None, "empty up-move sequence")
-    return MeanderType(top[::-1], bottom[::-1])
+    return _meander(sides)
 
 
 def hat_reversed(sig: Sequence[Move]) -> list[UpMove]:
@@ -700,8 +706,8 @@ def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
             stack.append(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2))
 
 
-def _valid_up_moves(top: list[int], bottom: list[int]) -> list[UpMove]:
-    """All Frobenius-preserving up-moves applicable to the stacks (top, bottom).
+def _valid_up_moves(sides: list[list[int]]) -> list[tuple[str, None, int | None]]:
+    """(tag, c, block) for _apply_up_raw of each Frobenius-preserving up-move.
 
     One pass over the bottom blocks, with p the start vertex of block j,
     finds the ~IB and the ~IR targets.  ~IR expands block j by delta =
@@ -712,20 +718,20 @@ def _valid_up_moves(top: list[int], bottom: list[int]) -> list[UpMove]:
     s = b_j, giving back a1 and b_j, exactly when delta > 0 and j > 1: the
     new center lies at or right of p > b1, so a1 + delta > 2*b1.
     """
+    top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
-    out = [_UP_MOVES["~F"], _UP_MOVES["~B"]]
+    out = [("~F", None, None), ("~B", None, None)]
     if a1 > b1:
-        out.append(_UP_MOVES["~R"])
+        out.append(("~R", None, None))
     ir = []
     p = 1 + b1
     for j in range(2, len(bottom) + 1):
         bj = bottom[-j]
         if 2 * p <= a1 + 1:
-            out.append(UpMove("~IB", block=j))
-        delta = abs(a1 + 2 - 2 * p - bj)
-        if delta:
-            ir.append(UpMove("~IR", block=j))
+            out.append(("~IB", None, j))
+        if a1 + 2 - 2 * p != bj:
+            ir.append(("~IR", None, j))
         p += bj
     return out + ir
 
@@ -740,12 +746,10 @@ def generate_frobenius(moves: int, seed: int) -> MeanderType:
     if moves < 0:
         raise PreconditionError("moves must be >= 0")
     rng = random.Random(seed)
-    top = [1]
-    bottom = [1]
+    sides = _sides((1,), (1,))
     for _ in range(moves):
-        choice = rng.choice(_valid_up_moves(top, bottom))
-        top, bottom = _apply_up_raw(choice.tag, choice.c, choice.block, top, bottom)
-    return MeanderType(top[::-1], bottom[::-1])
+        _apply_up_raw(*rng.choice(_valid_up_moves(sides)), sides)
+    return _meander(sides)
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +786,7 @@ def up_moves_to_text(seq: Sequence[UpMove]) -> str:
     return " ".join(str(mv) for mv in seq)
 
 
-_UP_TAGS = frozenset(
-    ["~F", "~C", "~B", "~R", "~P", "~IC", "~IB", "~IR", "~F0", "~C0", "~B0", "~R0", "~P0"]
-)
+_UP_TAGS = frozenset("~" + tag for tag in SIMPLIFIED_TAGS + REFINED_TAGS)
 
 
 def parse_up_moves(text: str) -> list[UpMove]:
@@ -793,18 +795,16 @@ def parse_up_moves(text: str) -> list[UpMove]:
         tag, param = _match_move(token, up=True)
         if tag not in _UP_TAGS:
             raise ParseError(f"unknown up-move {tag!r}")
-        if tag in ("~C", "~C0", "~IC"):
+        if tag[1:] in _PARAMETRIC:
             if param is None:
                 raise ParseError(f"{tag} needs a size parameter: {token!r}")
             out.append(UpMove(tag, c=param))
-        elif tag == "~IB":
-            if param is None:
-                raise ParseError(f"{tag} needs a block index: {token!r}")
-            out.append(UpMove(tag, block=param))
-        elif tag == "~IR":
-            out.append(UpMove(tag, block=param))
-        elif param is not None:
-            raise ParseError(f"up-move {tag} takes no parameter: {token!r}")
+        elif tag in _UP_MOVES:
+            if param is not None:
+                raise ParseError(f"up-move {tag} takes no parameter: {token!r}")
+            out.append(_UP_MOVES[tag])
+        elif param is None and tag == "~IB":
+            raise ParseError(f"{tag} needs a block index: {token!r}")
         else:
-            out.append(UpMove(tag))
+            out.append(UpMove(tag, block=param))
     return out

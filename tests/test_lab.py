@@ -17,7 +17,7 @@ from meanderkit import (
     search_gcd_conditions,
 )
 from meanderkit.core import MeanderType, _compositions, _index
-from meanderkit.lab import _in_scan_order
+from meanderkit.lab import _canonical_vectors, _in_scan_order, _scan_slice, _size_vectors
 from meanderkit.winding import _frobenius_tree, is_frobenius, signature_simplified
 
 from conftest import compositions
@@ -65,8 +65,22 @@ def test_search_gcd_validates_samples():
 def test_search_gcd_workers_equivalent():
     frob, nonfrob = five_block_meanders(8)
     one = search_gcd_conditions(1, frob, nonfrob, workers=1)
-    two = search_gcd_conditions(1, frob, nonfrob, workers=2)
-    assert one.payload() == two.payload()
+    for workers in (2, 3):
+        assert search_gcd_conditions(1, frob, nonfrob, workers=workers).payload() == one.payload()
+
+
+def test_search_gcd_slices_balanced():
+    # every inner loop runs from its first vector to the end; interleaved
+    # slices share those loops out so that no slice is more than one loop
+    # ahead of another, and together they check every pair once
+    frob, nonfrob = five_block_meanders(8)
+    vectors = _canonical_vectors(1)
+    samples = (_size_vectors(frob), _size_vectors(nonfrob))
+    total = _scan_slice((vectors, 0, 1, *samples))[1]
+    for k in (2, 3, 4):
+        checked = [_scan_slice((vectors, w, k, *samples))[1] for w in range(k)]
+        assert max(checked) - min(checked) <= len(vectors)
+        assert sum(checked) == total
 
 
 def test_search_gcd_reproducible_with_sampling():

@@ -42,7 +42,9 @@ from meanderkit.core import _index
 from meanderkit.winding import (
     _apply_up_raw,
     _frobenius_tree,
+    _meander,
     _reduce,
+    _sides,
     _step_simplified_raw,
     _valid_up_moves,
 )
@@ -455,10 +457,12 @@ def test_refined_undo_moves_wind_back_up(m):
 
 @given(_meanders())
 def test_signatures_and_homotopy_match_reference(m):
-    # parts up to 10**4 reach long R0, R and IR runs
-    simplified, refined, _ = _ref_signatures(m)
+    # parts up to 10**4 reach long R0, R and IR runs, and the ~IB and ~IR
+    # blocks read off the finger after each single step
+    simplified, refined, undos = _ref_signatures(m)
     assert signature_simplified(m) == simplified
     assert signature_refined(m) == refined
+    assert _refined_undos(m) == undos
     params = sorted((mv.c for mv in simplified if mv.c is not None), reverse=True)
     assert homotopy_type(m).parameters() == tuple(params)
 
@@ -499,10 +503,10 @@ def _slow_valid_up_moves(m):
 
 
 def _assert_up_moves_match(m):
-    fast = _valid_up_moves(list(reversed(m.top)), list(reversed(m.bottom)))
-    assert fast == _slow_valid_up_moves(m)
+    fast = _valid_up_moves(_sides(m.top, m.bottom))
+    assert [UpMove(*args) for args in fast] == _slow_valid_up_moves(m)
     # an explicit ~IR applies exactly on the listed targets
-    targets = {mv.block for mv in fast if mv.tag == "~IR"}
+    targets = {block for tag, _, block in fast if tag == "~IR"}
     for j in range(1, len(m.bottom) + 1):
         try:
             apply_up_move(UpMove("~IR", block=j), m)
@@ -520,8 +524,7 @@ def test_valid_up_moves_match_copy_and_step_exhaustive():
 def test_valid_up_moves_match_copy_and_step_along_chains():
     for seed in range(12):
         rng = random.Random(seed)
-        top, bottom = [1], [1]
+        sides = _sides((1,), (1,))
         for _ in range(120):
-            _assert_up_moves_match(MeanderType(tuple(top[::-1]), tuple(bottom[::-1])))
-            mv = rng.choice(_valid_up_moves(top, bottom))
-            top, bottom = _apply_up_raw(mv.tag, mv.c, mv.block, top, bottom)
+            _assert_up_moves_match(_meander(sides))
+            _apply_up_raw(*rng.choice(_valid_up_moves(sides)), sides)
