@@ -1,12 +1,15 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 internal consistency failure (two routes that must agree did not).
+3 internal consistency failure (two routes that must agree did not).  A
+reader that closes standard output early, as `| head` does, ends the
+command with exit 1 and nothing on standard error.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -51,6 +54,7 @@ verbs:
   family biparabolic A B K COPIES [--json]
   search gcd [--config F] [--max-coef C] [--n-max N] [--seed S]
              [--sample-size Z] [--workers K] [-o FILE]
+                                             K >= 1 processes, at most one per CPU
   search unimodality [--config F] [--n-max N] [-o FILE]
   search blocks [--config F] [--n-max N] [-o FILE]
   diagram MEANDER [--svg] [-o FILE]
@@ -124,7 +128,15 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 def _dispatch(argv: list[str], out, err) -> int:
@@ -402,6 +414,8 @@ def _cmd_search(argv, out, err) -> int:
         for option, key in options.items()
     }
     workers = args.int_option("--workers", 1)
+    if workers < 1:
+        raise _Usage("option --workers needs a value >= 1")
     if sub == "gcd":
         frob, nonfrob = lab.five_block_meanders(value["n_max"])
         report = lab.search_gcd_conditions(

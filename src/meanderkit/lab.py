@@ -27,6 +27,7 @@ carried separately and excluded from comparisons).
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from collections import Counter
@@ -189,10 +190,13 @@ def search_gcd_conditions(
     so only canonical representatives are enumerated.  When sample_size is
     given, each sample list is reduced to a seeded random subsample.
     Workers take interleaved slices of the first vectors; the merged result
-    does not depend on the worker count.
+    does not depend on the worker count.  workers must be >= 1, and at
+    most os.cpu_count() processes are started.
     """
     if max_coef < 1:
         raise PreconditionError("max_coef must be >= 1")
+    if workers < 1:
+        raise PreconditionError("workers must be >= 1")
     if not sample or not non_sample:
         raise PreconditionError("both sample sets must be nonempty")
     for m in sample + non_sample:
@@ -213,7 +217,7 @@ def search_gcd_conditions(
     frob_vecs = _size_vectors(sample)
     non_vecs = _size_vectors(non_sample)
     vectors = _canonical_vectors(max_coef)
-    k = max(workers, 1)
+    k = min(workers, os.cpu_count() or 1)
     tasks = [(vectors, w, k, frob_vecs, non_vecs) for w in range(k)]
     if k > 1:
         from multiprocessing import Pool

@@ -9,15 +9,9 @@ triangular for the bottom one.  Its support is the set of positions
 which has exactly (sum a_k^2 + sum b_k^2) / 2 elements and coincides with
 the meander's admissible pairs.
 
-Everything here is exact, and one routine does all the elimination:
-fraction-free Bareiss elimination of the augmented matrix [A | B] over the
-integers, which keeps every entry an integer minor of the input.  A rank is
-its number of pivots.  A solve adds an integer back-substitution: the last
-pivot d is, up to sign, the minor of A on the pivot rows and columns, so by
-Cramer's rule d x is integral and no fraction appears until the caller
-divides by d.  These computations are deliberately independent of the
-combinatorial routes in the other modules so the two sides can be checked
-against each other:
+Everything here is exact, and two routines do all the elimination.  These
+computations are deliberately independent of the combinatorial routes in
+the other modules so the two sides can be checked against each other:
 
 * index via the kernel of the Kirillov form B_F(x, y) = F([x, y]) at random
   integer functionals (generic draws can only overestimate the nullity, so
@@ -27,10 +21,31 @@ against each other:
 * the spectrum of ad Fhat read off the diagonal of that solution;
 * the classical Yang-Baxter equation residual of the r-matrix built from
   the inverse of the Kirillov matrix.
+
+The index needs only a rank, and _rank_mod takes it modulo a prime p drawn
+from [2^60, 2^61), by sparse elimination: a row of the Kirillov matrix has
+at most 2n nonzero entries, word-size residues replace growing minors, and
+no work is spent on zero entries.  Rank mod p never exceeds the rank over
+the rationals, since a minor that is nonzero mod p is nonzero, so the error
+is one-sided, the same overestimate of the nullity that the minimum over
+trials already allows for.  It is rare: for a fixed functional, take a
+nonzero maximal minor.  Every row has at most 2n entries of absolute value
+at most 200, so by Hadamard's bound the minor has at most
+r log2(200 sqrt(2n)) bits, about 3 000 at dimension 250, and so at most
+about (bit length) / 60, some 50, prime factors in [2^60, 2^61).  That
+range holds about 2.7e16 primes, and a prime drawn uniformly from it
+divides the minor with probability below 2e-15 per trial.
+
+The solves use fraction-free Bareiss elimination of the augmented matrix
+[A | B] over the integers, which keeps every entry an integer minor of the
+input, followed by an integer back-substitution: the last pivot d is, up to
+sign, the minor of A on the pivot rows and columns, so by Cramer's rule
+d x is integral and no fraction appears until the caller divides by d.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,17 +80,18 @@ Functional = dict[Position, int]
 # Largest seaweed dimension (sum a_k^2 + sum b_k^2) / 2 that index_oracle,
 # principal_element, ad_spectrum and cybe_residual accept; above it they
 # raise PreconditionError before any matrix is allocated, and before any
-# walk over the vertices.  At the bound (Python 3.11, shared 2-core host),
-# index_oracle of 19/3|7|9 (dimension 250) takes 7.4 s per trial and peaks
-# at 25 MB; principal_element of 2|17/6|13 (249) 0.4 s at 17 MB, and
-# cybe_residual of it 4.0 s at 51 MB.
+# walk over the vertices.  The Bareiss solves set the bound.  At it
+# (Python 3.11, shared 2-core host, peak RSS of the whole process),
+# principal_element of 2|17/6|13 (dimension 249) takes 0.4 s at 17 MB and
+# cybe_residual of it 4.0 s at 51 MB; index_oracle of 19/3|7|9 (dimension
+# 250) takes 0.21 s per trial at 18 MB.
 ORACLE_MAX_DIM = 250
 
 # Most random functionals index_oracle draws; above it, it raises
 # PreconditionError before the first draw.  Trials run one after another
-# and each costs one elimination, so at both bounds one call takes about
-# 50 x 7.4 s, some six minutes, at the 25 MB peak of a single trial; at the
-# default of 5 trials it takes about 37 s.
+# and each costs one rank modulo the call's prime, so at both bounds one
+# call takes about 50 x 0.21 s, some 11 s, at the 18 MB of a single trial;
+# at the default of 5 trials it takes about 1.1 s.
 ORACLE_MAX_TRIALS = 50
 
 
@@ -131,20 +147,40 @@ def _oracle_pattern(m: MeanderType) -> SeaweedPattern:
     return seaweed_positions(m)
 
 
-def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
-    """The form F([e_ij, e_kl]) on the pattern basis; always antisymmetric."""
-    pos = pattern.positions
+def _kirillov_rows(pattern: SeaweedPattern, f: Functional) -> list[dict[int, int]]:
+    """The rows of kirillov_matrix as {column: entry}, nonzero entries only.
+
+    F([e_ij, e_kl]) = [j == k] F_il - [l == i] F_kj, so row (i, j) is
+    nonzero only in the columns (j, l) of pattern row j and (k, i) of
+    pattern column i: at most 2n entries, found without a scan of the row.
+    """
+    in_row: dict[int, list[tuple[int, int]]] = {}
+    in_col: dict[int, list[tuple[int, int]]] = {}
+    for c, (k, l) in enumerate(pattern.positions):
+        in_row.setdefault(k, []).append((l, c))
+        in_col.setdefault(l, []).append((k, c))
     get = f.get
     rows = []
-    for i, j in pos:
-        row = []
-        for k, l in pos:
-            v = 0
-            if j == k:
-                v = get((i, l), 0)
-            if l == i:
-                v -= get((k, j), 0)
-            row.append(v)
+    for i, j in pattern.positions:
+        row = {c: v for l, c in in_row[j] if (v := get((i, l), 0))}
+        for k, c in in_col[i]:
+            v = get((k, j), 0)
+            if v:
+                # column (j, i) gets both terms, which cancel when i == j
+                v = row.pop(c, 0) - v
+                if v:
+                    row[c] = v
+        rows.append(row)
+    return rows
+
+
+def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
+    """The form F([e_ij, e_kl]) on the pattern basis; always antisymmetric."""
+    rows = []
+    for entries in _kirillov_rows(pattern, f):
+        row = [0] * pattern.dim
+        for c, v in entries.items():
+            row[c] = v
         rows.append(row)
     return rows
 
@@ -228,6 +264,97 @@ def _solve(
     return d, y, basis
 
 
+# Primes below 200: a gcd with their product screens prime candidates
+# before Miller-Rabin.
+_SMALL_PRIMES = tuple(
+    q for q in range(2, 200) if all(q % d for d in range(2, math.isqrt(q) + 1))
+)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Miller-Rabin with these bases is exact for every n < 2^64 (Sinclair's set).
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < 2^64: small-prime screen, then
+    strong probable-prime tests to the bases _MR_BASES."""
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        # x == 0 only when n divides a; every composite factor of a base
+        # has a prime factor below 200, so such an n is prime
+        if x <= 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _draw_prime(seed: int) -> int:
+    """A prime from [2^60, 2^61), uniform over the primes of that range,
+    from a generator of its own derived from seed."""
+    rng = random.Random(f"index_oracle prime {seed}")
+    while True:
+        p = rng.getrandbits(60) | (1 << 60) | 1
+        if _is_prime(p):
+            return p
+
+
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank modulo the prime p of the integer matrix with rows {column: entry}.
+
+    Sparse Gaussian elimination over F_p with Markowitz pivoting: the
+    pivot is taken in the shortest remaining row, in its column with the
+    fewest remaining rows, and one modular inverse per pivot clears that
+    column from exactly the rows that have an entry there.  Rows that
+    reach zero are dropped; the rank is the number of pivots.
+    """
+    sparse: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {}  # column -> rows with an entry there
+    for r, row in enumerate(rows):
+        entries = {c: x for c, v in row.items() if (x := v % p)}
+        if entries:
+            sparse[r] = entries
+            for c in entries:
+                where.setdefault(c, set()).add(r)
+    rank = 0
+    while sparse:
+        # (length, row) and (rows in column, column) pairs keep the
+        # comparisons out of Python-level key functions
+        _, r = min(zip(map(len, sparse.values()), sparse))
+        base = sparse.pop(r)
+        for c in base:
+            where[c].discard(r)
+        _, col = min(zip(map(len, map(where.__getitem__, base)), base))
+        scale = p - pow(base.pop(col), -1, p)
+        rank += 1
+        for o in where.pop(col):
+            row = sparse[o]
+            factor = row.pop(col) * scale % p
+            for c, v in base.items():
+                if c in row:
+                    x = (row[c] + factor * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        where[c].discard(o)
+                else:
+                    row[c] = factor * v % p
+                    where[c].add(o)
+            if not row:
+                del sparse[o]
+    return rank
+
+
 def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     """Minimum Kirillov-form nullity over random functionals, minus one.
 
@@ -236,7 +363,9 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     gl(n) seaweed but absent from the sl(n) one the graph index refers to.
     A degenerate draw can only report a larger nullity, never a smaller
     one, so the minimum over trials is an upper bound that is exact for
-    generic draws.  trials runs from 1 to ORACLE_MAX_TRIALS.
+    generic draws.  Each rank is taken modulo one prime drawn per call
+    (see the module docstring), which can only raise the nullity too.
+    trials runs from 1 to ORACLE_MAX_TRIALS.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -248,11 +377,11 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
         raise PreconditionError("the empty meander has no seaweed")
     rng = random.Random(seed)
     pattern = _oracle_pattern(m)
+    p = _draw_prime(seed)
     best: int | None = None
     for _ in range(trials):
-        f = {p: rng.randint(-100, 100) for p in pattern.positions}
-        mat = kirillov_matrix(pattern, f)
-        nullity = pattern.dim - len(_bareiss(mat)[1])
+        f = {q: rng.randint(-100, 100) for q in pattern.positions}
+        nullity = pattern.dim - _rank_mod(_kirillov_rows(pattern, f), p)
         if best is None or nullity < best:
             best = nullity
     assert best is not None

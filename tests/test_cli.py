@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -103,6 +104,8 @@ def test_workers_only_on_search_gcd():
             assert (code, out) == (1, "") and f"unknown option {option}" in err
     code, out, _ = call("search", "gcd", "--max-coef", "1", "--n-max", "7", "--workers", "2")
     assert code == 0 and json.loads(out)["survivors"] == []
+    code, out, err = call("search", "gcd", "--n-max", "5", "--workers", "0")
+    assert (code, out) == (1, "") and "--workers needs a value >= 1" in err
 
 
 def test_options_a_command_does_not_read_are_rejected(tmp_path):
@@ -274,6 +277,28 @@ def test_diagram_svg(tmp_path):
     out_file = tmp_path / "m.svg"
     code, _, _ = call("diagram", "6|1/2|3|2", "--svg", "-o", str(out_file))
     assert code == 0 and out_file.read_text().startswith("<svg")
+
+
+def test_closed_pipe_exits_quietly():
+    # enumerate 8 prints about 290 kB, more than a pipe holds, so its write
+    # is still pending when the reader goes away after a few bytes; the
+    # two bytes of index are still buffered when a reader that never read
+    # goes away before the command has even started.  stdout is block
+    # buffered, as it is by default on a pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv, head in ((["enumerate", "8"], 16), (["index", "6|1/2|3|2"], 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "meanderkit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and err == b""
 
 
 def test_module_entry_point():

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from functools import lru_cache
 
 import pytest
@@ -67,6 +69,34 @@ def test_search_gcd_workers_equivalent():
     one = search_gcd_conditions(1, frob, nonfrob, workers=1)
     for workers in (2, 3):
         assert search_gcd_conditions(1, frob, nonfrob, workers=workers).payload() == one.payload()
+
+
+def test_search_gcd_workers_bounded(monkeypatch):
+    frob, nonfrob = five_block_meanders(6)
+    with pytest.raises(PreconditionError):
+        search_gcd_conditions(1, frob, nonfrob, workers=0)
+    requested = []
+
+    class InProcessPool:
+        # stands in for multiprocessing.Pool, so that no process starts
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    one = search_gcd_conditions(1, frob, nonfrob, workers=1)
+    capped = search_gcd_conditions(1, frob, nonfrob, workers=1000)
+    assert requested == [3]
+    assert capped.payload() == one.payload()
 
 
 def test_search_gcd_slices_balanced():

@@ -13,6 +13,8 @@ from meanderkit import (
     canonical_functional,
     cybe_residual,
     enumerate_meanders,
+    family_biparabolic,
+    family_parabolic,
     index_naive,
     index_oracle,
     kirillov_matrix,
@@ -22,7 +24,18 @@ from meanderkit import (
     spectrum,
 )
 
-from meanderkit.lie import _bareiss, _bracket, _feval, _sl_basis, _solve
+from meanderkit.lie import (
+    _bareiss,
+    _bracket,
+    _draw_prime,
+    _feval,
+    _is_prime,
+    _kirillov_rows,
+    _rank_mod,
+    _sl_basis,
+    _solve,
+)
+from meanderkit.winding import _frobenius_tree
 
 from conftest import random_meander
 
@@ -60,6 +73,19 @@ def test_kirillov_matrix_antisymmetric():
                 assert mat[r][c] == -mat[c][r]
 
 
+def test_kirillov_matrix_is_the_bracket_form():
+    # the slow route: F([e_ij, e_kl]) through the general bracket
+    rng = random.Random(23)
+    for _ in range(30):
+        m = random_meander(rng, 7)
+        pattern = seaweed_positions(m)
+        f = {p: rng.randint(-3, 3) for p in pattern.positions}
+        units = [{p: 1} for p in pattern.positions]
+        expected = [[_feval(f, _bracket(x, y)) for y in units] for x in units]
+        assert kirillov_matrix(pattern, f) == expected
+        assert all(v for row in _kirillov_rows(pattern, f) for v in row.values())
+
+
 def test_index_oracle_golden():
     assert index_oracle(parse_type("1|2/3")) == 0
     assert index_oracle(parse_type("3/3")) == 2
@@ -71,6 +97,28 @@ def test_index_oracle_random_agreement():
     for trial in range(60):
         m = random_meander(rng, 8)
         assert index_oracle(m, trials=5, seed=trial) == index_naive(m)
+
+
+def _dim(m):
+    return (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2
+
+
+def test_index_oracle_beyond_dimension_63():
+    meanders = [
+        family_parabolic(2, 6, 1),
+        family_parabolic(6, 1, 5),
+        family_parabolic(4, 2, 5),
+        family_parabolic(2, 1, 11),
+        family_biparabolic(4, 1, 2, 1),
+        family_biparabolic(4, 3, 2, 1),
+        family_biparabolic(6, 5, 1, 1),
+    ]
+    tree = [MeanderType(t, b) for t, b in _frobenius_tree(14)]
+    meanders += random.Random(0).sample([m for m in tree if 64 <= _dim(m) <= 150], 4)
+    assert all(64 <= _dim(m) <= 150 for m in meanders)
+    assert max(map(_dim, meanders)) >= 140
+    for seed, m in enumerate(meanders):
+        assert index_oracle(m, seed=seed) == index_naive(m)
 
 
 def test_canonical_functional_golden():
@@ -231,3 +279,73 @@ def test_bareiss_solve_against_fraction_rank(system):
     assert (solved is not None) == (_fraction_rank([ra + rc for ra, rc in zip(a, c)]) == rank)
     if solved is not None:
         assert _matmul(a, solved[1]) == [[solved[0] * row[0]] for row in c]
+
+
+def _dict_rows(mat):
+    return [dict(enumerate(row)) for row in mat]
+
+
+def test_rank_mod_matches_bareiss_on_kirillov_matrices():
+    rng = random.Random(41)
+    p = _draw_prime(41)
+    for n in range(1, 7):
+        for m in enumerate_meanders(n):
+            pattern = seaweed_positions(m)
+            for _ in range(3):
+                f = {q: rng.randint(-100, 100) for q in pattern.positions}
+                rank = len(_bareiss(kirillov_matrix(pattern, f))[1])
+                assert _rank_mod(_kirillov_rows(pattern, f), p) == rank
+
+
+@given(_integer_systems())
+@settings(max_examples=300)
+def test_rank_mod_against_fraction_rank(system):
+    a = system[0]
+    assert _rank_mod(_dict_rows(a), _draw_prime(5)) == _fraction_rank(a)
+
+
+def test_rank_mod_uses_its_prime():
+    rows = _dict_rows([[2, 0], [0, 3]])
+    assert [_rank_mod(rows, p) for p in (2, 3, 5)] == [1, 1, 2]
+    assert _rank_mod(_dict_rows([[1, 2], [3, 6 + 7]]), 7) == 1
+    assert _rank_mod([{}, {4: 0}], 5) == 0
+
+
+def _strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_against_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # each passes the strong test for the first 4, 5, 6 and 7 prime bases
+    for n, bases in [
+        (3215031751, (2, 3, 5, 7)),
+        (2152302898747, (2, 3, 5, 7, 11)),
+        (3474749660383, (2, 3, 5, 7, 11, 13)),
+        (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+    ]:
+        assert all(_strong_probable_prime(n, a) for a in bases)
+        assert not _is_prime(n)
+    assert not _is_prime(561)  # a Carmichael number
+    assert _is_prime(2**61 - 1)
+
+
+def test_draw_prime_range_and_seed():
+    primes = [_draw_prime(seed) for seed in range(20)]
+    assert all(2**60 <= p < 2**61 and _is_prime(p) for p in primes)
+    assert primes == [_draw_prime(seed) for seed in range(20)]
+    assert len(set(primes)) == 20
