@@ -103,6 +103,20 @@ def _emit(text: str, out) -> None:
     print(text, file=out)
 
 
+def _write_output(args: _Args, text: str, out, err) -> int:
+    """Write text to the -o file, or else to out; 1 if the file fails, else 0."""
+    if "-o" not in args.options:
+        _emit(text, out)
+        return 0
+    try:
+        with open(args.options["-o"], "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        _emit(f"error: cannot write output: {exc}", err)
+        return 1
+    return 0
+
+
 def _frac_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -407,7 +421,7 @@ def _cmd_search(argv, out, err) -> int:
         try:
             with open(args.options["--config"], "r", encoding="utf-8") as fh:
                 config = lab.load_config(fh.read(), tuple(defaults))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _Usage(f"cannot read config: {exc}")
     value = {
         key: args.int_option(option, config.get(key, defaults[key]))
@@ -426,12 +440,8 @@ def _cmd_search(argv, out, err) -> int:
         report = lab.scan_unimodality(value["n_max"])
     else:
         report = lab.scan_block_measures(value["n_max"])
-    text = report.to_json()
-    if "-o" in args.options:
-        with open(args.options["-o"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        _emit(text, out)
+    if _write_output(args, report.to_json(), out, err):
+        return 1
     if sub == "blocks" and report.counterexamples:
         _emit("internal consistency failure: block-measure counterexample", err)
         return 3
@@ -525,9 +535,4 @@ def _cmd_diagram(argv, out, err) -> int:
     args = _Args(argv, {"--svg"}, {"-o"})
     m = _one_meander(args)
     text = svg_diagram(m) if "--svg" in args.flags else ascii_diagram(m)
-    if "-o" in args.options:
-        with open(args.options["-o"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        _emit(text, out)
-    return 0
+    return _write_output(args, text, out, err)

@@ -268,6 +268,16 @@ def index_naive(m: MeanderType) -> int:
     return _index(m.top, m.bottom)
 
 
+def _check_dim(m: MeanderType, limit: int, budget: str) -> None:
+    """Raise PreconditionError unless the seaweed dimension of m, read off
+    the block sizes, is within limit."""
+    dim = (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2
+    if dim > limit:
+        raise PreconditionError(
+            f"seaweed dimension {dim} exceeds the {budget} budget {limit}"
+        )
+
+
 def _require_frobenius(m: MeanderType) -> None:
     """Raise NotFrobeniusError, carrying index_naive(m), unless m has index 0."""
     ix = index_naive(m)

@@ -9,9 +9,10 @@ triangular for the bottom one.  Its support is the set of positions
 which has exactly (sum a_k^2 + sum b_k^2) / 2 elements and coincides with
 the meander's admissible pairs.
 
-Everything here is exact, and two routines do all the elimination.  These
-computations are deliberately independent of the combinatorial routes in
-the other modules so the two sides can be checked against each other:
+Everything here is exact, and one routine, _eliminate, does all the
+elimination.  These computations are deliberately independent of the
+combinatorial routes in the other modules so the two sides can be checked
+against each other:
 
 * index via the kernel of the Kirillov form B_F(x, y) = F([x, y]) at random
   integer functionals (generic draws can only overestimate the nullity, so
@@ -22,25 +23,29 @@ the other modules so the two sides can be checked against each other:
 * the classical Yang-Baxter equation residual of the r-matrix built from
   the inverse of the Kirillov matrix.
 
-The index needs only a rank, and _rank_mod takes it modulo a prime p drawn
-from [2^60, 2^61), by sparse elimination: a row of the Kirillov matrix has
-at most 2n nonzero entries, word-size residues replace growing minors, and
-no work is spent on zero entries.  Rank mod p never exceeds the rank over
-the rationals, since a minor that is nonzero mod p is nonzero, so the error
-is one-sided, the same overestimate of the nullity that the minimum over
-trials already allows for.  It is rare: for a fixed functional, take a
-nonzero maximal minor.  Every row has at most 2n entries of absolute value
-at most 200, so by Hadamard's bound the minor has at most
-r log2(200 sqrt(2n)) bits, about 3 000 at dimension 250, and so at most
-about (bit length) / 60, some 50, prime factors in [2^60, 2^61).  That
-range holds about 2.7e16 primes, and a prime drawn uniformly from it
-divides the minor with probability below 2e-15 per trial.
+_eliminate is sparse elimination modulo a prime p from [2^60, 2^61): a
+row of the Kirillov matrix has at most 2n nonzero entries, and word-size
+residues replace growing minors.  The index needs only a rank, modulo one
+prime drawn per call.  Rank mod p never exceeds the rank over the
+rationals, since a minor that is nonzero mod p is nonzero, so the error is
+one-sided, as for an unlucky functional, which the minimum over trials
+allows for.  It is rare: for a fixed functional, a nonzero maximal minor
+has rows of at most 2n entries of size at most 200, so by Hadamard's bound
+at most r log2(200 sqrt(2n)) bits, about 3 000 at dimension 250, and at
+most some 50 prime factors in [2^60, 2^61).  That range holds about 2.7e16
+primes, so a drawn prime divides it with probability below 2e-15 per trial.
 
-The solves use fraction-free Bareiss elimination of the augmented matrix
-[A | B] over the integers, which keeps every entry an integer minor of the
-input, followed by an integer back-substitution: the last pivot d is, up to
-sign, the minor of A on the pivot rows and columns, so by Cramer's rule
-d x is integral and no fraction appears until the caller divides by d.
+The two solves append their right-hand sides as columns, solve mod p, and
+lift each residue to the fraction a/b with |a|, b <= sqrt(p / 2), about
+7.6e8, congruent to it (rational reconstruction, Wang 1981); at dimension
+249, |a| <= 50 and b <= 19.  The result is then certified exactly: the
+principal element satisfies its defining equation through _bracket and
+has trace zero, and r = d K^-1, d the lcm of the denominators, satisfies
+r K = d I over the integers.  So a result is never wrong, only refused: a
+prime that divides a minor, or an entry beyond the bound, fails the
+lifting or the certificate, and the solves try the fixed primes
+_draw_prime(0), (1), (2) in turn.  ConsistencyError is raised only when
+all three fail: for an entry beyond the bound, or for a defect.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .core import (
     MeanderType,
     PreconditionError,
     _block_spans,
+    _check_dim,
     _partners,
     _require_frobenius,
 )
@@ -80,18 +86,18 @@ Functional = dict[Position, int]
 # Largest seaweed dimension (sum a_k^2 + sum b_k^2) / 2 that index_oracle,
 # principal_element, ad_spectrum and cybe_residual accept; above it they
 # raise PreconditionError before any matrix is allocated, and before any
-# walk over the vertices.  The Bareiss solves set the bound.  At it
-# (Python 3.11, shared 2-core host, peak RSS of the whole process),
-# principal_element of 2|17/6|13 (dimension 249) takes 0.4 s at 17 MB and
-# cybe_residual of it 4.0 s at 51 MB; index_oracle of 19/3|7|9 (dimension
-# 250) takes 0.21 s per trial at 18 MB.
+# walk over the vertices.  The exact accumulation of cybe_residual sets
+# the bound: at it (Python 3.11, shared 2-core host, peak RSS of the whole
+# process), cybe_residual of 2|17/6|13 (dimension 249) takes 2.8-3.4 s at
+# 48 MB, 0.02 s of it for the inverse; principal_element and ad_spectrum
+# 0.015 s at 16 MB; index_oracle of 19/3|7|9 0.22 s per trial at 18 MB.
 ORACLE_MAX_DIM = 250
 
 # Most random functionals index_oracle draws; above it, it raises
 # PreconditionError before the first draw.  Trials run one after another
 # and each costs one rank modulo the call's prime, so at both bounds one
-# call takes about 50 x 0.21 s, some 11 s, at the 18 MB of a single trial;
-# at the default of 5 trials it takes about 1.1 s.
+# call takes about 50 x 0.22 s, some 11 s, at the 18 MB of a single trial;
+# at the default of 5 trials it takes about 1.2 s.
 ORACLE_MAX_TRIALS = 50
 
 
@@ -131,22 +137,6 @@ def seaweed_positions(m: MeanderType) -> SeaweedPattern:
     return SeaweedPattern(n, positions)
 
 
-def _check_budget(m: MeanderType) -> None:
-    """Raise PreconditionError unless the seaweed dimension, which needs
-    only the block sizes, is within ORACLE_MAX_DIM."""
-    dim = (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2
-    if dim > ORACLE_MAX_DIM:
-        raise PreconditionError(
-            f"seaweed dimension {dim} exceeds the oracle budget {ORACLE_MAX_DIM}"
-        )
-
-
-def _oracle_pattern(m: MeanderType) -> SeaweedPattern:
-    """seaweed_positions, once the dimension is within ORACLE_MAX_DIM."""
-    _check_budget(m)
-    return seaweed_positions(m)
-
-
 def _kirillov_rows(pattern: SeaweedPattern, f: Functional) -> list[dict[int, int]]:
     """The rows of kirillov_matrix as {column: entry}, nonzero entries only.
 
@@ -183,85 +173,6 @@ def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
             row[c] = v
         rows.append(row)
     return rows
-
-
-def _bareiss(
-    a: list[list[int]], b: list[list[int]] | None = None
-) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination of the augmented matrix [A | B].
-
-    Row r of b continues row r of a.  Pivots are taken in the columns of A
-    only.  Returns the eliminated rows and the pivot columns: the first
-    len(pivots) rows are the echelon rows, and the rows below are zero in A
-    and hold, in B, the minors that are zero exactly when A X = B is
-    consistent.  The inputs are not modified.
-    """
-    rows = [ra + rb for ra, rb in zip(a, b)] if b else [ra[:] for ra in a]
-    ncols = len(a[0]) if a else 0
-    width = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(rows):
-            break
-        piv = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        base = rows[row]
-        pivot = base[col]
-        for cur in rows[row + 1 :]:
-            factor = cur[col]
-            # every row below is updated, factor zero or not, so that each
-            # entry stays a minor of the original and // stays exact
-            for c in range(col + 1, width):
-                cur[c] = (cur[c] * pivot - factor * base[c]) // prev
-            cur[col] = 0
-        prev = pivot
-        pivots.append(col)
-    return rows, pivots
-
-
-def _solve(
-    a: list[list[int]], b: list[list[int]]
-) -> tuple[int, list[list[int]], list[list[int]]] | None:
-    """Solve A X = B exactly in integers, by back-substitution after _bareiss.
-
-    Returns (d, Y, N), or None when some column of B is out of reach.  d is
-    the last pivot (1 when A is zero), Y has one row per unknown and one
-    column per right-hand side, with A (Y / d) = B and every free variable
-    zero, and N is a nullspace basis of A with d at each vector's own free
-    column.  d is, up to sign, the minor of A on the pivot rows and
-    columns, so by Cramer's rule d times any of these solutions is
-    integral and every division below is exact.
-    """
-    rows, pivots = _bareiss(a, b)
-    ncols = len(a[0]) if a else 0
-    rank = len(pivots)
-    if any(any(row[ncols:]) for row in rows[rank:]):
-        return None
-    d = rows[rank - 1][pivots[-1]] if pivots else 1
-
-    def back(col: int, sign: int) -> list[int]:
-        # d x, where U x = sign * (column col of U) on the echelon rows U
-        # and every free variable of x is zero
-        x = [0] * ncols
-        for k in range(rank - 1, -1, -1):
-            row = rows[k]
-            s = sign * d * row[col] - sum(row[p] * x[p] for p in pivots[k + 1 :])
-            x[pivots[k]] = s // row[pivots[k]]
-        return x
-
-    width = len(rows[0]) - ncols if rows else 0
-    solutions = [back(ncols + j, 1) for j in range(width)]
-    y = [[x[c] for x in solutions] for c in range(ncols)]
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = back(free, -1)
-        vec[free] = d
-        basis.append(vec)
-    return d, y, basis
 
 
 # Primes below 200: a gcd with their product screens prime candidates
@@ -308,14 +219,22 @@ def _draw_prime(seed: int) -> int:
             return p
 
 
-def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
-    """Rank modulo the prime p of the integer matrix with rows {column: entry}.
+Pivot = tuple[int, int, dict[int, int]]
 
-    Sparse Gaussian elimination over F_p with Markowitz pivoting: the
-    pivot is taken in the shortest remaining row, in its column with the
-    fewest remaining rows, and one modular inverse per pivot clears that
-    column from exactly the rows that have an entry there.  Rows that
-    reach zero are dropped; the rank is the number of pivots.
+
+def _eliminate(
+    rows: list[dict[int, int]], p: int, ncols: int | None = None
+) -> list[Pivot]:
+    """Sparse Gaussian elimination modulo the prime p of the integer matrix
+    with rows {column: entry}; the input is not modified.
+
+    Markowitz pivoting: the pivot is taken in the shortest remaining row,
+    in its column with the fewest remaining rows, and one modular inverse
+    per pivot clears that column from exactly the rows that have an entry
+    there.  Pivots are taken only in the columns below ncols (in any column
+    when ncols is None); the columns from ncols on hold right-hand sides.
+    Returns (column, -1 / pivot, pivot row without its pivot) in the order
+    the pivots were taken, so the rank is the length.
     """
     sparse: dict[int, dict[int, int]] = {}
     where: dict[int, set[int]] = {}  # column -> rows with an entry there
@@ -325,7 +244,7 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
             sparse[r] = entries
             for c in entries:
                 where.setdefault(c, set()).add(r)
-    rank = 0
+    pivots: list[Pivot] = []
     while sparse:
         # (length, row) and (rows in column, column) pairs keep the
         # comparisons out of Python-level key functions
@@ -333,9 +252,12 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
         base = sparse.pop(r)
         for c in base:
             where[c].discard(r)
-        _, col = min(zip(map(len, map(where.__getitem__, base)), base))
+        cols = base if ncols is None else [c for c in base if c < ncols]
+        if not cols:  # 0 = b, with b != 0 when the system is inconsistent
+            continue
+        _, col = min(zip(map(len, map(where.__getitem__, cols)), cols))
         scale = p - pow(base.pop(col), -1, p)
-        rank += 1
+        pivots.append((col, scale, base))
         for o in where.pop(col):
             row = sparse[o]
             factor = row.pop(col) * scale % p
@@ -352,7 +274,54 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
                     where[c].add(o)
             if not row:
                 del sparse[o]
-    return rank
+    return pivots
+
+
+def _back_substitute(
+    pivots: list[Pivot], p: int, ncols: int
+) -> dict[int, dict[int, int]]:
+    """x[c][j], unknown c of the solution mod p for right-hand side column
+    ncols + j, from the pivots of _eliminate(rows, p, ncols); free unknowns
+    and zeros are left out.  A pivot row has no entry in the columns of
+    earlier pivots, so the rows are solved from the last to the first.
+    """
+    x: dict[int, dict[int, int]] = {}
+    for col, scale, row in reversed(pivots):
+        # pivot * x[col] = rhs - sum(row[c] * x[c]), and scale = -1 / pivot
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            if c >= ncols:
+                acc[c - ncols] = acc.get(c - ncols, 0) - v
+            elif c in x:
+                for j, w in x[c].items():
+                    acc[j] = acc.get(j, 0) + v * w
+        x[col] = {j: y for j, s in acc.items() if (y := s * scale % p)}
+    return x
+
+
+def _reconstruct(u: int, p: int) -> tuple[int, int] | None:
+    """The fraction (a, b), b > 0, with a = b u mod p and |a|, b at most
+    sqrt(p / 2), unique since 2 bound^2 < p, or None: the extended Euclidean
+    algorithm on (p, u), stopped at the first remainder within the bound.
+    """
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    # s p + t1 u = r1 with gcd(s, t1) = 1, so gcd(r1, t1) divides p: it is 1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _first_certified(solve, what: str):
+    """The first result of solve(p) at p = _draw_prime(0), (1), (2) not None."""
+    for k in range(3):
+        result = solve(_draw_prime(k))
+        if result is not None:
+            return result
+    raise ConsistencyError(f"no certified {what} modulo three primes")
 
 
 def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
@@ -375,17 +344,15 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
         )
     if m.n == 0:
         raise PreconditionError("the empty meander has no seaweed")
+    _check_dim(m, ORACLE_MAX_DIM, "oracle")
     rng = random.Random(seed)
-    pattern = _oracle_pattern(m)
+    pattern = seaweed_positions(m)
     p = _draw_prime(seed)
-    best: int | None = None
+    ranks = []
     for _ in range(trials):
         f = {q: rng.randint(-100, 100) for q in pattern.positions}
-        nullity = pattern.dim - _rank_mod(_kirillov_rows(pattern, f), p)
-        if best is None or nullity < best:
-            best = nullity
-    assert best is not None
-    return best - 1
+        ranks.append(len(_eliminate(_kirillov_rows(pattern, f), p)))
+    return pattern.dim - max(ranks) - 1
 
 
 def canonical_functional(m: MeanderType) -> Functional:
@@ -429,43 +396,42 @@ def principal_element(m: MeanderType) -> PrincipalElement:
     """Solve F([Fhat, e_ij]) = F(e_ij) over all pattern positions, exactly.
 
     F is the canonical edge functional.  For a Frobenius meander the
-    solution set is a line (the identity direction is free); the trace-zero
-    representative is returned, and the defining equation is re-verified
-    entry by entry.  A solution space of any other shape means the meander
-    is not Frobenius for this functional and is an error.
+    solutions form a line along the identity, and one more equation, trace
+    zero, picks one; it is solved mod p, lifted and certified (see the
+    module docstring).  A meander of nonzero index, the empty one included,
+    raises NotFrobeniusError, once the dimension is within the budget.
     """
-    if m.n == 0:
-        raise PreconditionError("the empty meander has no principal element")
-    pattern = _oracle_pattern(m)
+    _check_dim(m, ORACLE_MAX_DIM, "oracle")
+    _require_frobenius(m)
+    pattern = seaweed_positions(m)
     pos = pattern.positions
+    dim = pattern.dim
     f = canonical_functional(m)
-    # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F
-    solved = _solve(kirillov_matrix(pattern, f), [[-f.get(p, 0)] for p in pos])
-    if solved is None:
-        raise PreconditionError("defining equation is inconsistent; not Frobenius")
-    d, y, basis = solved
-    if len(basis) != 1:
-        raise PreconditionError(
-            f"solution space has dimension {len(basis)}, expected a line; not Frobenius"
-        )
-    # normalize to trace zero along the free (identity) direction:
-    # x = (y - (tr y / tr h) h) / d
-    h = basis[0]
-    diag_cols = [k for k, (i, j) in enumerate(pos) if i == j]
-    tr_y = sum(y[c][0] for c in diag_cols)
-    tr_h = sum(h[c] for c in diag_cols)
-    if tr_h == 0:
-        raise ConsistencyError("free direction has zero trace; cannot normalize")
-    entries: dict[Position, Fraction] = {}
-    for k, p in enumerate(pos):
-        num = y[k][0] * tr_h - tr_y * h[k]
-        if num:
-            entries[p] = Fraction(num, d * tr_h)
-    # exact residual check of the defining equation, through the bracket
-    for i, j in pos:
-        if _feval(f, _bracket(entries, {(i, j): 1})) != f.get((i, j), 0):
-            raise ConsistencyError(f"principal element residual nonzero at {(i, j)}")
-    return PrincipalElement(m.n, entries)
+    # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F, with
+    # -F in column dim; the last row is the trace
+    rows = _kirillov_rows(pattern, f)
+    for row, q in zip(rows, pos):
+        if q in f:
+            row[dim] = -f[q]
+    rows.append({c: 1 for c, (i, j) in enumerate(pos) if i == j})
+
+    def solve(p: int) -> PrincipalElement | None:
+        x = _back_substitute(_eliminate(rows, p, dim), p, dim)
+        entries: dict[Position, Fraction] = {}
+        for c, q in enumerate(pos):
+            if x.get(c):
+                frac = _reconstruct(x[c][0], p)
+                if frac is None:
+                    return None
+                entries[q] = Fraction(*frac)
+        fhat = PrincipalElement(m.n, entries)
+        if sum(fhat.diagonal()) != 0 or any(
+            _feval(f, _bracket(entries, {q: 1})) != f.get(q, 0) for q in pos
+        ):
+            return None
+        return fhat
+
+    return _first_certified(solve, "principal element")
 
 
 def ad_spectrum(m: MeanderType) -> Spectrum:
@@ -477,8 +443,6 @@ def ad_spectrum(m: MeanderType) -> Spectrum:
     meander of nonzero index, the empty one included, raises
     NotFrobeniusError, once the dimension is within the budget.
     """
-    _check_budget(m)
-    _require_frobenius(m)
     fhat = principal_element(m)
     if not fhat.is_diagonal:
         raise ConsistencyError("principal element is not diagonal")
@@ -504,14 +468,8 @@ Matrix = dict[Position, int]
 
 def _sl_basis(m: MeanderType) -> list[Matrix]:
     """Basis of the trace-zero seaweed: off-diagonal units, diagonal differences."""
-    pattern = _oracle_pattern(m)
-    basis: list[Matrix] = []
-    for i, j in pattern.positions:
-        if i != j:
-            basis.append({(i, j): 1})
-    for k in range(1, m.n):
-        basis.append({(k, k): 1, (k + 1, k + 1): -1})
-    return basis
+    basis = [{(i, j): 1} for i, j in seaweed_positions(m).positions if i != j]
+    return basis + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(1, m.n)]
 
 
 def _bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -532,29 +490,45 @@ def _feval(f: Functional, x: Matrix) -> int:
 def cybe_residual(m: MeanderType) -> bool:
     """True iff [r12, r13] + [r12, r23] + [r13, r23] vanishes identically.
 
-    r is built from the exact inverse of the Kirillov matrix of the
-    canonical functional on a trace-zero basis of the seaweed, scaled by
-    the last Bareiss pivot to an integer matrix (the residual is
-    homogeneous in r, so the scaling does not change whether it is zero).
-    A meander of nonzero index, the empty one included, raises
-    NotFrobeniusError, once the dimension is within the budget.
+    r is the exact inverse of the Kirillov matrix of the canonical
+    functional on a trace-zero basis of the seaweed, scaled by the lcm of
+    its denominators to an integer matrix and certified (see the module
+    docstring); the residual is homogeneous in r, so the scaling does not
+    change whether it is zero.  A meander of nonzero index, the empty one
+    included, raises NotFrobeniusError, once the dimension is within the
+    budget.
     """
-    _check_budget(m)
+    _check_dim(m, ORACLE_MAX_DIM, "oracle")
     _require_frobenius(m)
     basis = _sl_basis(m)
     dim = len(basis)
-    if dim == 0:
-        return True
     f = canonical_functional(m)
     brackets = [[_bracket(basis[a], basis[c]) for c in range(dim)] for a in range(dim)]
-    mat = [[_feval(f, x) for x in row] for row in brackets]
-    identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
-    # A X = I has a solution exactly when the matrix is invertible
-    solved = _solve(mat, identity)
-    if solved is None:
-        raise PreconditionError("Kirillov matrix is degenerate on the sl part")
-    rmat = solved[1]  # d times the inverse
+    rows = [
+        {c: v for c, x in enumerate(row) if (v := _feval(f, x))} for row in brackets
+    ]
+    # K X = I, with the identity in the columns from dim on
+    augmented = [row | {dim + a: 1} for a, row in enumerate(rows)]
 
+    def invert(p: int) -> dict[tuple[int, int], int] | None:
+        x = _back_substitute(_eliminate(augmented, p, dim), p, dim)
+        fracs = {
+            (a, b): _reconstruct(u, p) for a, col in x.items() for b, u in col.items()
+        }
+        if None in fracs.values():
+            return None
+        den = math.lcm(*(q for _, q in fracs.values()))
+        r = {key: num * (den // q) for key, (num, q) in fracs.items()}
+        # the certificate: r K = den I, exactly
+        product: dict[tuple[int, int], int] = {}
+        for (a, c), w in r.items():
+            for b, v in rows[c].items():
+                product[a, b] = product.get((a, b), 0) + w * v
+        if {k: v for k, v in product.items() if v} != {(a, a): den for a in range(dim)}:
+            return None
+        return r
+
+    rmat = _first_certified(invert, "inverse Kirillov matrix")  # den times the inverse
     acc: dict[tuple[Position, Position, Position], int] = {}
 
     def add(t1: Matrix, t2: Matrix, t3: Matrix, coef: int) -> None:
@@ -566,14 +540,10 @@ def cybe_residual(m: MeanderType) -> bool:
                     key = (p1, p2, p3)
                     acc[key] = acc.get(key, 0) + cv12 * v3
 
-    nonzero = [
-        (a, b) for a in range(dim) for b in range(dim) if rmat[a][b]
-    ]
-    for a, b in nonzero:
-        rab = rmat[a][b]
+    for (a, b), rab in rmat.items():
         xb = basis[b]
-        for c, d in nonzero:
-            coef = rab * rmat[c][d]
+        for (c, d), rcd in rmat.items():
+            coef = rab * rcd
             xd = basis[d]
             t = brackets[a][c]
             if t:

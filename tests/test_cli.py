@@ -146,6 +146,25 @@ def test_oracle_over_budget_exit_two():
             assert "exceeds the oracle budget" in err and "Traceback" not in err
 
 
+def test_spectrum_over_budget_exit_two():
+    code, out, err = call("spectrum", "300000000/300000000")
+    assert (code, out) == (2, "")
+    assert err == "error: seaweed dimension 90000000000000000 exceeds the spectrum budget 4000000\n"
+
+
+def test_unwritable_output_and_unreadable_config_exit_one(tmp_path):
+    for argv in (
+        ("diagram", "1|2/3", "-o", str(tmp_path)),
+        ("search", "blocks", "--n-max", "4", "-o", str(tmp_path / "missing" / "x.json")),
+    ):
+        code, out, err = call(*argv)
+        assert (code, out) == (1, "") and err.startswith("error: cannot write output: ")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n_max = \xff\n")
+    code, out, err = call("search", "unimodality", "--config", str(cfg))
+    assert (code, out) == (1, "") and err.startswith("error: cannot read config: ")
+
+
 def test_oracle_trials_bound():
     bound = str(ORACLE_MAX_TRIALS)
     code, out, err = call("oracle", "index", "1|2/3", "--trials", str(ORACLE_MAX_TRIALS + 1))
@@ -222,8 +241,8 @@ def test_oracle_verbs():
     assert code == 0 and out == "-1:1 0:2 1:2 2:1\n"
     code, out, _ = call("oracle", "cybe", "1|2/3")
     assert code == 0 and out == "true\n"
-    code, _, _ = call("oracle", "principal", "3/3")
-    assert code == 2
+    code, _, err = call("oracle", "principal", "3/3")
+    assert code == 2 and err == "error: not Frobenius (index 2)\n"
 
 
 def test_family_verbs():

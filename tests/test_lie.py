@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanderkit import (
+    ConsistencyError,
     MeanderType,
     NotFrobeniusError,
-    PreconditionError,
     ad_spectrum,
     canonical_functional,
     cybe_residual,
@@ -24,16 +25,17 @@ from meanderkit import (
     spectrum,
 )
 
+from meanderkit import lie
 from meanderkit.lie import (
-    _bareiss,
+    _back_substitute,
     _bracket,
     _draw_prime,
+    _eliminate,
     _feval,
     _is_prime,
     _kirillov_rows,
-    _rank_mod,
+    _reconstruct,
     _sl_basis,
-    _solve,
 )
 from meanderkit.winding import _frobenius_tree
 
@@ -162,8 +164,12 @@ def test_principal_element_diagonal_and_trace_zero():
 
 
 def test_principal_element_rejects_non_frobenius():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(NotFrobeniusError) as exc:
         principal_element(parse_type("3/3"))
+    assert exc.value.index == 2
+    with pytest.raises(NotFrobeniusError) as exc:
+        principal_element(MeanderType((), ()))
+    assert exc.value.index == -1
 
 
 def test_ad_spectrum_golden():
@@ -201,47 +207,111 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_solve_inverts_cybe_kirillov_matrix():
-    for text in ("1|2/3", "1|4/2|3", "6|1/2|3|2", "2|3/5"):
-        m = parse_type(text)
-        basis = _sl_basis(m)
-        f = canonical_functional(m)
-        a = [[_feval(f, _bracket(x, y)) for y in basis] for x in basis]
-        dim = len(a)
-        identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
-        d, y, nullspace = _solve(a, identity)
-        assert nullspace == []
-        assert _matmul(a, y) == [[d * v for v in row] for row in identity]
+def _fraction_reduce(a, b):
+    """Gauss-Jordan elimination of [A | B] over Fraction: the slow route.
 
-
-def test_solve_inconsistent_and_singular():
-    # x + y = 1 and 2x + 2y = 3 have no common solution
-    assert _solve([[1, 1], [2, 2]], [[1], [3]]) is None
-    # rank one in three unknowns: a particular solution and a plane of kernel
-    a = [[1, 2, 3], [2, 4, 6]]
-    d, y, nullspace = _solve(a, [[6], [12]])
-    assert len(nullspace) == 2
-    for vec in [[row[0] for row in y]] + nullspace:
-        assert all(isinstance(v, int) for v in vec)
-    assert _matmul(a, y) == [[6 * d], [12 * d]]
-    for vec in nullspace:
-        assert _matmul(a, [[v] for v in vec]) == [[0], [0]]
+    Pivots are taken in the columns of A only.  Returns (rank, X) with
+    A X = B and every free unknown zero, or X None when A X = B has no
+    solution.
+    """
+    ncols = len(a[0]) if a else 0
+    rows = [[Fraction(x) for x in ra + rb] for ra, rb in zip(a, b)]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][c] for x in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
+        pivots.append(c)
+    rank = len(pivots)
+    if any(any(row[ncols:]) for row in rows[rank:]):
+        return rank, None
+    x = [[Fraction(0)] * len(b[0] if b else []) for _ in range(ncols)]
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][ncols:]
+    return rank, x
 
 
 def _fraction_rank(mat):
-    """Rank by plain Gauss elimination over Fraction: the slow route."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][c] / rows[rank][c]
-            rows[r] = [x - factor * p for x, p in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return _fraction_reduce(mat, [[] for _ in mat])[0]
+
+
+def _solve_mod(a, b, p):
+    """_eliminate and _back_substitute on [A | B] modulo p: (rank, X as a
+    dense matrix of residues, pivot columns)."""
+    ncols = len(a[0])
+    rows = [{c: v for c, v in enumerate(ra + rb) if v} for ra, rb in zip(a, b)]
+    pivots = _eliminate(rows, p, ncols)
+    x = _back_substitute(pivots, p, ncols)
+    width = len(b[0]) if b else 0
+    y = [[x.get(c, {}).get(j, 0) for j in range(width)] for c in range(ncols)]
+    return len(pivots), y, [col for col, _, _ in pivots]
+
+
+def _holds(a, y, b, p):
+    """A Y = B modulo p."""
+    return [[v % p for v in row] for row in _matmul(a, y)] == [[v % p for v in row] for row in b]
+
+
+def _kernel_mod(a, p):
+    """A kernel basis of A modulo p: A X = -A, and X e_f + e_f for each
+    free column f, which is 1 at f and 0 at the other free columns."""
+    ncols = len(a[0])
+    _, x, pivot_cols = _solve_mod(a, [[-v for v in row] for row in a], p)
+    return [
+        [(x[c][f] + (c == f)) % p for c in range(ncols)]
+        for f in range(ncols)
+        if f not in pivot_cols
+    ]
+
+
+def _residues(mat, p):
+    return [[v.numerator * pow(v.denominator, -1, p) % p for v in row] for row in mat]
+
+
+def _lift(mat, p):
+    return [[Fraction(*_reconstruct(v, p)) for v in row] for row in mat]
+
+
+def _cybe_kirillov_matrix(m):
+    basis = _sl_basis(m)
+    f = canonical_functional(m)
+    return [[_feval(f, _bracket(x, y)) for y in basis] for x in basis]
+
+
+def test_solve_inverts_cybe_kirillov_matrix():
+    p = _draw_prime(0)
+    for text in ("1|2/3", "1|4/2|3", "6|1/2|3|2", "2|3/5"):
+        a = _cybe_kirillov_matrix(parse_type(text))
+        dim = len(a)
+        identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        rank, y, _ = _solve_mod(a, identity, p)
+        assert rank == dim
+        inverse = _lift(y, p)
+        assert inverse == _fraction_reduce(a, identity)[1]
+        assert _matmul(a, inverse) == identity
+
+
+def test_solve_inconsistent_and_singular():
+    p = _draw_prime(0)
+    # x + y = 1 and 2x + 2y = 3 have no common solution
+    rank, y, _ = _solve_mod([[1, 1], [2, 2]], [[1], [3]], p)
+    assert rank == 1 and not _holds([[1, 1], [2, 2]], y, [[1], [3]], p)
+    # rank one in three unknowns: a particular solution and a plane of kernel
+    a = [[1, 2, 3], [2, 4, 6]]
+    rank, y, _ = _solve_mod(a, [[6], [12]], p)
+    assert rank == 1
+    assert _matmul(a, _lift(y, p)) == [[6], [12]]
+    nullspace = _kernel_mod(a, p)
+    assert len(nullspace) == 2
+    for vec in _lift(nullspace, p):
+        assert _matmul(a, [[v] for v in vec]) == [[0], [0]]
 
 
 @st.composite
@@ -265,24 +335,50 @@ def _integer_systems(draw):
 @given(_integer_systems())
 @settings(max_examples=300)
 def test_bareiss_solve_against_fraction_rank(system):
+    # _eliminate plus _back_substitute against _fraction_reduce
     a, b, c = system
-    rank = _fraction_rank(a)
-    assert len(_bareiss(a)[1]) == rank
-    d, y, nullspace = _solve(a, b)
-    assert d != 0
-    assert _matmul(a, y) == [[d * v for v in row] for row in b]
+    p = _draw_prime(5)
+    rank, x = _fraction_reduce(a, b)
+    got_rank, y, _ = _solve_mod(a, b, p)
+    assert got_rank == rank and _holds(a, y, b, p)
+    if rank == len(a[0]):
+        assert y == _residues(x, p)
+    nullspace = _kernel_mod(a, p)
     assert len(nullspace) == len(a[0]) - rank
     assert _fraction_rank(nullspace) == len(nullspace)
     for vec in nullspace:
-        assert _matmul(a, [[v] for v in vec]) == [[0]] * len(a)
-    solved = _solve(a, c)
-    assert (solved is not None) == (_fraction_rank([ra + rc for ra, rc in zip(a, c)]) == rank)
-    if solved is not None:
-        assert _matmul(a, solved[1]) == [[solved[0] * row[0]] for row in c]
+        assert all(v % p == 0 for (v,) in _matmul(a, [[v] for v in vec]))
+    assert _holds(a, _solve_mod(a, c, p)[1], c, p) == (_fraction_reduce(a, c)[1] is not None)
 
 
 def _dict_rows(mat):
     return [dict(enumerate(row)) for row in mat]
+
+
+def _rank_mod(rows, p):
+    return len(_eliminate(rows, p))
+
+
+def _bareiss_rank(mat):
+    """Rank by fraction-free Bareiss elimination over the integers: every
+    entry stays a minor of the input, so each division is exact.  A slow
+    route several times faster than _fraction_rank on Kirillov matrices."""
+    rows = [row[:] for row in mat]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        base = rows[rank]
+        for cur in rows[rank + 1 :]:
+            factor = cur[c]
+            for k in range(c + 1, len(base)):
+                cur[k] = (cur[k] * base[c] - factor * base[k]) // prev
+            cur[c] = 0
+        prev = base[c]
+        rank += 1
+    return rank
 
 
 def test_rank_mod_matches_bareiss_on_kirillov_matrices():
@@ -293,7 +389,7 @@ def test_rank_mod_matches_bareiss_on_kirillov_matrices():
             pattern = seaweed_positions(m)
             for _ in range(3):
                 f = {q: rng.randint(-100, 100) for q in pattern.positions}
-                rank = len(_bareiss(kirillov_matrix(pattern, f))[1])
+                rank = _bareiss_rank(kirillov_matrix(pattern, f))
                 assert _rank_mod(_kirillov_rows(pattern, f), p) == rank
 
 
@@ -309,6 +405,90 @@ def test_rank_mod_uses_its_prime():
     assert [_rank_mod(rows, p) for p in (2, 3, 5)] == [1, 1, 2]
     assert _rank_mod(_dict_rows([[1, 2], [3, 6 + 7]]), 7) == 1
     assert _rank_mod([{}, {4: 0}], 5) == 0
+
+
+def test_eliminate_pivots_left_of_ncols():
+    # the second row is 0 = 1 once the first is taken from it
+    pivots = _eliminate([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 7}], 11, 2)
+    assert pivots == [(0, 10, {1: 2, 2: 3})]
+    assert _eliminate([{2: 5}], 11, 2) == []
+    assert _eliminate([{2: 5}], 11) == [(2, 11 - pow(5, -1, 11), {})]
+
+
+def test_reconstruct_hand_cases():
+    p = 2**61 - 1
+    bound = math.isqrt(p // 2)
+    assert bound == 2**30 - 1
+    for a, b in [(0, 1), (1, 1), (-1, 1), (-3, 7), (50, 19), (-50, 19), (bound, 1),
+                 (-bound, 1), (1, bound), (-bound, bound - 1)]:
+        assert _reconstruct(a * pow(b, -1, p) % p, p) == (a, b)
+    # just out of range, on either side of the bar
+    assert _reconstruct(bound + 1, p) is None
+    assert _reconstruct(-(bound + 1) % p, p) is None
+    assert _reconstruct(pow(bound + 1, -1, p), p) is None
+
+
+def test_solves_retry_after_a_bad_prime(monkeypatch):
+    m = parse_type("1|4/2|3")
+    expected = principal_element(m)
+    real = lie._draw_prime
+    drawn = []
+
+    def draw(k):
+        drawn.append(k)
+        return 3 if k == 0 else real(k)
+
+    monkeypatch.setattr(lie, "_draw_prime", draw)
+    assert principal_element(m) == expected
+    assert drawn == [0, 1]
+    drawn.clear()
+    assert cybe_residual(m)
+    assert drawn == [0, 1]
+    # three bad primes in a row are an error, not a result
+    monkeypatch.setattr(lie, "_draw_prime", lambda k: 3)
+    with pytest.raises(ConsistencyError):
+        principal_element(m)
+    with pytest.raises(ConsistencyError):
+        cybe_residual(m)
+
+
+def test_corrupted_solutions_fail_their_certificates(monkeypatch):
+    # one wrong entry per prime: every prime is refused
+    real = lie._reconstruct
+    corrupted = set()
+
+    def corrupt(u, p):
+        a, b = real(u, p)
+        if p in corrupted:
+            return a, b
+        corrupted.add(p)
+        return a + 1, b
+
+    monkeypatch.setattr(lie, "_reconstruct", corrupt)
+    m = parse_type("1|4/2|3")
+    for solve in (cybe_residual, principal_element):
+        corrupted.clear()
+        with pytest.raises(ConsistencyError):
+            solve(m)
+        assert corrupted == {_draw_prime(k) for k in range(3)}
+
+
+def test_principal_element_off_trace_zero_is_refused(monkeypatch):
+    # adding the identity keeps the defining equation, so only the trace
+    # check refuses the shifted solution
+    m = parse_type("1|4/2|3")
+    diagonal = [c for c, (i, j) in enumerate(seaweed_positions(m).positions) if i == j]
+    real = lie._back_substitute
+
+    def shifted(pivots, p, ncols):
+        x = real(pivots, p, ncols)
+        for c in diagonal:
+            x[c] = {0: (x.get(c, {}).get(0, 0) + 1) % p}
+        return x
+
+    monkeypatch.setattr(lie, "_back_substitute", shifted)
+    with pytest.raises(ConsistencyError):
+        principal_element(m)
 
 
 def _strong_probable_prime(n, a):

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from meanderkit import (
@@ -13,6 +15,7 @@ from meanderkit import (
     index_naive,
     measure,
     parse_type,
+    principal_element,
     spectrum,
     spectrum_to_json,
 )
@@ -199,9 +202,11 @@ def test_frobenius_gate_shared_by_four_routes():
     meanders = [MeanderType((), ())]
     for n in range(1, 6):
         meanders += [m for m in enumerate_meanders(n) if index_naive(m) != 0]
+    # principal_element, which ad_spectrum calls, shares the gate too
     routes = (
         spectrum,
         lambda m: block_measures(m, "top", 1),
+        principal_element,
         ad_spectrum,
         cybe_residual,
     )
@@ -211,3 +216,21 @@ def test_frobenius_gate_shared_by_four_routes():
                 route(m)
             assert exc.value.index == index_naive(m)
             assert str(exc.value) == f"not Frobenius (index {index_naive(m)})"
+
+
+def test_spectrum_budget_comes_first(monkeypatch):
+    # 300000000/300000000 has 9 * 10**16 pairs and index 299999999: the
+    # budget, which needs only the block sizes, refuses it before the
+    # Frobenius check would build arrays over its vertices
+    for m in (MeanderType((300000000,), (300000000,)), parse_type("1155|1156/2311")):
+        for route in (spectrum, lambda m: block_measures(m, "bottom", 1)):
+            with pytest.raises(PreconditionError) as exc:
+                route(m)
+            assert "exceeds the spectrum budget 4000000" in str(exc.value)
+    # the package exports the function spectrum under the module's name
+    module = importlib.import_module("meanderkit.spectrum")
+    monkeypatch.setattr(module, "SPECTRUM_MAX_DIM", 7)
+    assert spectrum(parse_type("1|2/3")) == {-1: 1, 0: 2, 1: 2, 2: 1}
+    assert block_measures(parse_type("1|2/3"), "bottom", 1) == (-1, 0, 1, 2)
+    with pytest.raises(PreconditionError, match="seaweed dimension 15 exceeds"):
+        spectrum(parse_type("1|4/2|3"))
