@@ -25,7 +25,8 @@ from .core import (
     MeanderType,
     ParseError,
     PreconditionError,
-    _block_spans,
+    _arcs,
+    _check_budget,
     _parse_uint,
     index_naive,
     parse_type,
@@ -453,10 +454,10 @@ def _cmd_search(argv, out, err) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _arcs(comp: Composition) -> list[tuple[int, int, int]]:
-    """(left, right, depth) of each arc of one side.  Arcs of different
-    blocks never nest, so arc d of block p..q is (p+d, q-d) at depth d+1."""
-    return [(p + d, q - d, d + 1) for p, q in _block_spans(comp) for d in range((q - p + 1) // 2)]
+# Most cells of a diagram, 2n - 1 columns times the vertex row and half the
+# largest block of each side.  At it (Python 3.11, shared 2-core host, peak
+# RSS) 1|1|...|1/1|1|...|1 takes 0.7 s at 40 MB as text, 0.9 s at 120 MB as SVG.
+DIAGRAM_MAX_CELLS = 1_000_000
 
 
 def ascii_diagram(m: MeanderType) -> str:
@@ -534,5 +535,7 @@ def svg_diagram(m: MeanderType) -> str:
 def _cmd_diagram(argv, out, err) -> int:
     args = _Args(argv, {"--svg"}, {"-o"})
     m = _one_meander(args)
+    cells = (2 * m.n - 1) * (1 + max(m.top) // 2 + max(m.bottom) // 2)
+    _check_budget("cell count", cells, DIAGRAM_MAX_CELLS, "diagram")
     text = svg_diagram(m) if "--svg" in args.flags else ascii_diagram(m)
     return _write_output(args, text, out, err)

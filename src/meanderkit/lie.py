@@ -20,8 +20,8 @@ against each other:
 * the principal element, the unique trace-zero solution of
   F([Fhat, -]) = F for the canonical edge functional of a Frobenius meander;
 * the spectrum of ad Fhat read off the diagonal of that solution;
-* the classical Yang-Baxter equation residual of the r-matrix built from
-  the inverse of the Kirillov matrix.
+* the classical Yang-Baxter equation for r, the inverse of the Kirillov
+  form of that functional on the trace-zero seaweed.
 
 _eliminate is sparse elimination modulo a prime p from [2^60, 2^61): a
 row of the Kirillov matrix has at most 2n nonzero entries, and word-size
@@ -35,17 +35,26 @@ at most r log2(200 sqrt(2n)) bits, about 3 000 at dimension 250, and at
 most some 50 prime factors in [2^60, 2^61).  That range holds about 2.7e16
 primes, so a drawn prime divides it with probability below 2e-15 per trial.
 
-The two solves append their right-hand sides as columns, solve mod p, and
-lift each residue to the fraction a/b with |a|, b <= sqrt(p / 2), about
-7.6e8, congruent to it (rational reconstruction, Wang 1981); at dimension
-249, |a| <= 50 and b <= 19.  The result is then certified exactly: the
-principal element satisfies its defining equation through _bracket and
-has trace zero, and r = d K^-1, d the lcm of the denominators, satisfies
-r K = d I over the integers.  So a result is never wrong, only refused: a
-prime that divides a minor, or an entry beyond the bound, fails the
-lifting or the certificate, and the solves try the fixed primes
-_draw_prime(0), (1), (2) in turn.  ConsistencyError is raised only when
-all three fail: for an entry beyond the bound, or for a defect.
+The two solves append a trace row and one right-hand-side column per
+functional to the Kirillov rows, solve mod p, and try the fixed primes
+_draw_prime(0), (1), (2) in turn; ConsistencyError is raised only when all
+three are refused.  The principal element is lifted to the fractions a/b
+with |a|, b <= sqrt(p / 2), about 7.6e8, congruent to its residues
+(rational reconstruction, Wang 1981; at dimension 249, |a| <= 50 and
+b <= 19), and certified exactly through _bracket and its trace.
+
+The Yang-Baxter residual of the skew r is trilinear: at covectors u, v, w
+it is u([rv, rw]) + v([rw, ru]) + w([ru, rv]), zero for all of them
+exactly when r solves the equation (Gerstenhaber and Giaquinto, 1997).  It
+is taken mod p at three covectors drawn mod p, each ru one solve of
+K y = u, trace y = 0, and a prime is refused when the rank falls short (K
+is singular mod p) or a solution fails K y = u, trace y = 0 mod p.  Then
+false is always right, and a nonzero residual reads true only if it
+vanishes at the drawn point, with probability at most 3/p (Schwartz 1980;
+Zippel 1979), or if p divides all its coefficients.  Times (det K)^2 each
+is a sum of at most dim^4 products of two minors, with rows of at most 2n
+entries of size at most 2: some 2 800 bits at dimension 250, so as for the
+rank below 2e-15.
 """
 
 from __future__ import annotations
@@ -59,9 +68,9 @@ from .core import (
     ConsistencyError,
     MeanderType,
     PreconditionError,
+    _arcs,
     _block_spans,
     _check_dim,
-    _partners,
     _require_frobenius,
 )
 from .spectrum import Spectrum
@@ -86,11 +95,11 @@ Functional = dict[Position, int]
 # Largest seaweed dimension (sum a_k^2 + sum b_k^2) / 2 that index_oracle,
 # principal_element, ad_spectrum and cybe_residual accept; above it they
 # raise PreconditionError before any matrix is allocated, and before any
-# walk over the vertices.  The exact accumulation of cybe_residual sets
-# the bound: at it (Python 3.11, shared 2-core host, peak RSS of the whole
-# process), cybe_residual of 2|17/6|13 (dimension 249) takes 2.8-3.4 s at
-# 48 MB, 0.02 s of it for the inverse; principal_element and ad_spectrum
-# 0.015 s at 16 MB; index_oracle of 19/3|7|9 0.22 s per trial at 18 MB.
+# walk over the vertices.  index_oracle sets the bound: at it (Python 3.11,
+# shared 2-core host, peak RSS of the whole process), one trial of 19/3|7|9
+# takes 0.13-0.22 s at 18 MB, about 1 s at the default 5 trials, while of
+# 2|17/6|13 (dimension 249) cybe_residual takes 0.04 s, and
+# principal_element and ad_spectrum 0.011-0.018 s, each at 17 MB.
 ORACLE_MAX_DIM = 250
 
 # Most random functionals index_oracle draws; above it, it raises
@@ -124,17 +133,12 @@ def seaweed_positions(m: MeanderType) -> SeaweedPattern:
     Row i holds the columns j from the first vertex of i's top block to
     the last vertex of i's bottom block, in ascending order.
     """
-    n = m.n
-    first = [0] * (n + 1)
-    last = [0] * (n + 1)
-    for p, q in _block_spans(m.top):
-        first[p : q + 1] = [p] * (q - p + 1)
-    for p, q in _block_spans(m.bottom):
-        last[p : q + 1] = [q] * (q - p + 1)
+    first = [p for p, q in _block_spans(m.top) for _ in range(p, q + 1)]
+    last = [q for p, q in _block_spans(m.bottom) for _ in range(p, q + 1)]
     positions = tuple(
-        (i, j) for i in range(1, n + 1) for j in range(first[i], last[i] + 1)
+        (i, j) for i, a, b in zip(range(1, m.n + 1), first, last) for j in range(a, b + 1)
     )
-    return SeaweedPattern(n, positions)
+    return SeaweedPattern(m.n, positions)
 
 
 def _kirillov_rows(pattern: SeaweedPattern, f: Functional) -> list[dict[int, int]]:
@@ -166,13 +170,8 @@ def _kirillov_rows(pattern: SeaweedPattern, f: Functional) -> list[dict[int, int
 
 def kirillov_matrix(pattern: SeaweedPattern, f: Functional) -> list[list[int]]:
     """The form F([e_ij, e_kl]) on the pattern basis; always antisymmetric."""
-    rows = []
-    for entries in _kirillov_rows(pattern, f):
-        row = [0] * pattern.dim
-        for c, v in entries.items():
-            row[c] = v
-        rows.append(row)
-    return rows
+    columns = range(pattern.dim)
+    return [[row.get(c, 0) for c in columns] for row in _kirillov_rows(pattern, f)]
 
 
 # Primes below 200: a gcd with their product screens prime candidates
@@ -348,11 +347,9 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     rng = random.Random(seed)
     pattern = seaweed_positions(m)
     p = _draw_prime(seed)
-    ranks = []
-    for _ in range(trials):
-        f = {q: rng.randint(-100, 100) for q in pattern.positions}
-        ranks.append(len(_eliminate(_kirillov_rows(pattern, f), p)))
-    return pattern.dim - max(ranks) - 1
+    functionals = ({q: rng.randint(-100, 100) for q in pattern.positions} for _ in range(trials))
+    rank = max(len(_eliminate(_kirillov_rows(pattern, f), p)) for f in functionals)
+    return pattern.dim - rank - 1
 
 
 def canonical_functional(m: MeanderType) -> Functional:
@@ -362,18 +359,11 @@ def canonical_functional(m: MeanderType) -> Functional:
     always lands inside the seaweed pattern; this is checked and a failure
     is an internal inconsistency.
     """
-    n = m.n
-    tp, bp = _partners(m.top, m.bottom, n)
-    support: Functional = {}
-    for v in range(1, n + 1):
-        if tp[v] and tp[v] < v:
-            support[(v, tp[v])] = 1
-        if bp[v] and bp[v] > v:
-            support[(v, bp[v])] = 1
-    pattern = set(seaweed_positions(m).positions)
-    for p in support:
-        if p not in pattern:
-            raise ConsistencyError(f"canonical functional leaves the pattern at {p}")
+    support: Functional = {(v, u): 1 for u, v, _ in _arcs(m.top)}
+    support.update({(u, v): 1 for u, v, _ in _arcs(m.bottom)})
+    outside = support.keys() - set(seaweed_positions(m).positions)
+    if outside:
+        raise ConsistencyError(f"canonical functional leaves the pattern at {min(outside)}")
     return support
 
 
@@ -392,6 +382,19 @@ class PrincipalElement:
         return [self.entries.get((i, i), Fraction(0)) for i in range(1, self.n + 1)]
 
 
+def _trace_zero_system(
+    pattern: SeaweedPattern, f: Functional, rhs: list[Functional]
+) -> list[dict[int, int]]:
+    """Rows of K y = rhs[k] (in column dim + k), trace y = 0, for _eliminate;
+    K is the Kirillov form of f."""
+    pos, dim = pattern.positions, pattern.dim
+    rows = [
+        r | {dim + k: b[q] for k, b in enumerate(rhs) if q in b}
+        for r, q in zip(_kirillov_rows(pattern, f), pos)
+    ]
+    return rows + [{c: 1 for c, (i, j) in enumerate(pos) if i == j}]
+
+
 def principal_element(m: MeanderType) -> PrincipalElement:
     """Solve F([Fhat, e_ij]) = F(e_ij) over all pattern positions, exactly.
 
@@ -407,13 +410,8 @@ def principal_element(m: MeanderType) -> PrincipalElement:
     pos = pattern.positions
     dim = pattern.dim
     f = canonical_functional(m)
-    # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F, with
-    # -F in column dim; the last row is the trace
-    rows = _kirillov_rows(pattern, f)
-    for row, q in zip(rows, pos):
-        if q in f:
-            row[dim] = -f[q]
-    rows.append({c: 1 for c, (i, j) in enumerate(pos) if i == j})
+    # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F
+    rows = _trace_zero_system(pattern, f, [{q: -v for q, v in f.items()}])
 
     def solve(p: int) -> PrincipalElement | None:
         x = _back_substitute(_eliminate(rows, p, dim), p, dim)
@@ -466,12 +464,6 @@ def ad_spectrum(m: MeanderType) -> Spectrum:
 Matrix = dict[Position, int]
 
 
-def _sl_basis(m: MeanderType) -> list[Matrix]:
-    """Basis of the trace-zero seaweed: off-diagonal units, diagonal differences."""
-    basis = [{(i, j): 1} for i, j in seaweed_positions(m).positions if i != j]
-    return basis + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(1, m.n)]
-
-
 def _bracket(x: Matrix, y: Matrix) -> Matrix:
     out: Matrix = {}
     for (i, j), a in x.items():
@@ -490,68 +482,41 @@ def _feval(f: Functional, x: Matrix) -> int:
 def cybe_residual(m: MeanderType) -> bool:
     """True iff [r12, r13] + [r12, r23] + [r13, r23] vanishes identically.
 
-    r is the exact inverse of the Kirillov matrix of the canonical
-    functional on a trace-zero basis of the seaweed, scaled by the lcm of
-    its denominators to an integer matrix and certified (see the module
-    docstring); the residual is homogeneous in r, so the scaling does not
-    change whether it is zero.  A meander of nonzero index, the empty one
-    included, raises NotFrobeniusError, once the dimension is within the
-    budget.
+    r is the inverse of the Kirillov form of the canonical functional on the
+    trace-zero seaweed.  The residual is taken mod p at three covectors from
+    a generator seeded with p: false is always right, and true is wrong with
+    probability below 3e-15 (see the module docstring).  A meander of
+    nonzero index, the empty one included, raises NotFrobeniusError, once
+    the dimension is within the budget.
     """
     _check_dim(m, ORACLE_MAX_DIM, "oracle")
     _require_frobenius(m)
-    basis = _sl_basis(m)
-    dim = len(basis)
+    pattern = seaweed_positions(m)
+    pos = pattern.positions
+    dim = pattern.dim
     f = canonical_functional(m)
-    brackets = [[_bracket(basis[a], basis[c]) for c in range(dim)] for a in range(dim)]
-    rows = [
-        {c: v for c, x in enumerate(row) if (v := _feval(f, x))} for row in brackets
-    ]
-    # K X = I, with the identity in the columns from dim on
-    augmented = [row | {dim + a: 1} for a, row in enumerate(rows)]
 
-    def invert(p: int) -> dict[tuple[int, int], int] | None:
-        x = _back_substitute(_eliminate(augmented, p, dim), p, dim)
-        fracs = {
-            (a, b): _reconstruct(u, p) for a, col in x.items() for b, u in col.items()
-        }
-        if None in fracs.values():
+    def solve(p: int) -> bool | None:
+        rng = random.Random(p)
+        covectors = [{q: rng.randrange(p) for q in pos} for _ in range(3)]
+        for u in covectors:  # zero on the identity: a covector of the sl seaweed
+            u[1, 1] = (u[1, 1] - sum(u[i, i] for i in range(1, m.n + 1))) % p
+        rows = _trace_zero_system(pattern, f, covectors)
+        pivots = _eliminate(rows, p, dim)
+        if len(pivots) < dim:  # K is singular mod p
             return None
-        den = math.lcm(*(q for _, q in fracs.values()))
-        r = {key: num * (den // q) for key, (num, q) in fracs.items()}
-        # the certificate: r K = den I, exactly
-        product: dict[tuple[int, int], int] = {}
-        for (a, c), w in r.items():
-            for b, v in rows[c].items():
-                product[a, b] = product.get((a, b), 0) + w * v
-        if {k: v for k, v in product.items() if v} != {(a, a): den for a in range(dim)}:
+        x = _back_substitute(pivots, p, dim)
+        ys = [[x.get(c, {}).get(k, 0) for c in range(dim)] for k in range(3)]
+        # the check: every row, the trace row too, holds mod p for each y
+        if any(
+            (sum(v * y[c] for c, v in row.items() if c < dim) - row.get(dim + k, 0)) % p
+            for row in rows
+            for k, y in enumerate(ys)
+        ):
             return None
-        return r
+        (u, v, w), (ru, rv, rw) = covectors, [dict(zip(pos, y)) for y in ys]
+        # u([rv, rw]) + v([rw, ru]) + w([ru, rv])
+        terms = ((u, rv, rw), (v, rw, ru), (w, ru, rv))
+        return sum(_feval(a, _bracket(b, c)) for a, b, c in terms) % p == 0
 
-    rmat = _first_certified(invert, "inverse Kirillov matrix")  # den times the inverse
-    acc: dict[tuple[Position, Position, Position], int] = {}
-
-    def add(t1: Matrix, t2: Matrix, t3: Matrix, coef: int) -> None:
-        for p1, v1 in t1.items():
-            cv1 = coef * v1
-            for p2, v2 in t2.items():
-                cv12 = cv1 * v2
-                for p3, v3 in t3.items():
-                    key = (p1, p2, p3)
-                    acc[key] = acc.get(key, 0) + cv12 * v3
-
-    for (a, b), rab in rmat.items():
-        xb = basis[b]
-        for (c, d), rcd in rmat.items():
-            coef = rab * rcd
-            xd = basis[d]
-            t = brackets[a][c]
-            if t:
-                add(t, xb, xd, coef)
-            t = brackets[b][c]
-            if t:
-                add(basis[a], t, xd, coef)
-            t = brackets[b][d]
-            if t:
-                add(basis[a], basis[c], t, coef)
-    return all(v == 0 for v in acc.values())
+    return _first_certified(solve, "Yang-Baxter residual")

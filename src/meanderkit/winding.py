@@ -116,10 +116,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    WALK_MAX_ORDER,
     Composition,
     MeanderType,
     ParseError,
     PreconditionError,
+    _check_budget,
     _compositions,
     _parse_uint,
 )
@@ -149,6 +151,15 @@ __all__ = [
     "up_moves_to_text",
     "parse_up_moves",
 ]
+
+# Most moves _expand writes out.  A signature of order n has at most 2n (no
+# two flips are adjacent), so every order within the walk budget fits; at it
+# `signature --refined --json --verify` of 2|2|...|2/1|2|...|2|1 takes 11 s.
+SIGNATURE_MAX_MOVES = 2 * WALK_MAX_ORDER
+
+# Most up-moves generate_frobenius takes.  Each walks all bottom blocks, so
+# a call grows about 4x per doubling: 0.96 s at 3 200 moves, 3.2 s at 5 000.
+GENERATE_MAX_MOVES = 5_000
 
 SIMPLIFIED_TAGS = ("F0", "C0", "B0", "R0", "P0")
 REFINED_TAGS = ("F", "C", "B", "R", "P", "IC", "IB", "IR")
@@ -419,6 +430,7 @@ def _reduce(top: Composition, bottom: Composition, step_raw) -> list[tuple[Move,
 
 def _expand(runs: list[tuple[Move, int]]) -> list[Move]:
     """The signature: each run written out as count equal moves."""
+    _check_budget("move count", sum(q for _, q in runs), SIGNATURE_MAX_MOVES, "signature")
     sig: list[Move] = []
     append = sig.append
     for move, q in runs:
@@ -741,10 +753,12 @@ def generate_frobenius(moves: int, seed: int) -> MeanderType:
 
     Draws uniformly from the applicable Frobenius-preserving moves
     (flip, block/rotation expansion, and the internal creations with every
-    valid target block).  Deterministic for a given seed.
+    valid target block).  Deterministic for a given seed.  moves runs from
+    0 to GENERATE_MAX_MOVES.
     """
     if moves < 0:
         raise PreconditionError("moves must be >= 0")
+    _check_budget("move count", moves, GENERATE_MAX_MOVES, "generate")
     rng = random.Random(seed)
     sides = _sides((1,), (1,))
     for _ in range(moves):

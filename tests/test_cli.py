@@ -4,10 +4,16 @@ import os
 import subprocess
 import sys
 
-from meanderkit.cli import ascii_diagram, run, svg_diagram
+from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
 from meanderkit import parse_type
+from meanderkit.core import WALK_MAX_ORDER
 from meanderkit.lie import ORACLE_MAX_TRIALS
-from meanderkit.winding import _reduce, _step_simplified_raw
+from meanderkit.winding import (
+    GENERATE_MAX_MOVES,
+    SIGNATURE_MAX_MOVES,
+    _reduce,
+    _step_simplified_raw,
+)
 
 
 def call(*argv):
@@ -150,6 +156,33 @@ def test_spectrum_over_budget_exit_two():
     code, out, err = call("spectrum", "300000000/300000000")
     assert (code, out) == (2, "")
     assert err == "error: seaweed dimension 90000000000000000 exceeds the spectrum budget 4000000\n"
+
+
+def test_vertex_budgets_exit_two():
+    # each bound is checked from the block sizes or the runs, before
+    # anything per vertex or per move is allocated
+    for argv, message in (
+        (("diagram", "100000000/100000000"),
+         f"cell count 20000000099999999 exceeds the diagram budget {DIAGRAM_MAX_CELLS}"),
+        (("diagram", "--svg", "708/708"),
+         f"cell count 1003235 exceeds the diagram budget {DIAGRAM_MAX_CELLS}"),
+        (("index", "--verify", "1|100000000000/100000000001"),
+         f"order 100000000001 exceeds the walk budget {WALK_MAX_ORDER}"),
+        (("family", "parabolic", "2", "2000000", "1", "--json"),
+         f"order 4000001 exceeds the walk budget {WALK_MAX_ORDER}"),
+        (("signature", "1|100000000000/100000000001"),
+         f"move count 100000000003 exceeds the signature budget {SIGNATURE_MAX_MOVES}"),
+        (("signature", "--refined", "1|100000000000/100000000001"),
+         f"move count 100000000002 exceeds the signature budget {SIGNATURE_MAX_MOVES}"),
+        (("generate", "--moves", "100000000", "--seed", "1"),
+         f"move count 100000000 exceeds the generate budget {GENERATE_MAX_MOVES}"),
+        (("generate", "--moves", str(GENERATE_MAX_MOVES + 1), "--seed", "1"),
+         f"move count {GENERATE_MAX_MOVES + 1} exceeds the generate budget {GENERATE_MAX_MOVES}"),
+    ):
+        assert call(*argv) == (2, "", f"error: {message}\n")
+    # the largest square diagram within the bound
+    code, out, _ = call("diagram", "706/706")
+    assert code == 0 and out.count("o") == 706
 
 
 def test_unwritable_output_and_unreadable_config_exit_one(tmp_path):

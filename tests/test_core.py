@@ -4,6 +4,7 @@ from meanderkit import (
     ComponentSummary,
     MeanderType,
     ParseError,
+    PreconditionError,
     build_graph,
     components,
     enumerate_meanders,
@@ -11,6 +12,7 @@ from meanderkit import (
     index_naive,
     parse_type,
 )
+from meanderkit.core import WALK_MAX_ORDER
 
 
 def test_parse_examples():
@@ -104,3 +106,12 @@ def test_components_all_paths_or_cycles():
         summary = components(g)
         assert summary.cycles >= 0 and summary.paths >= 0
         assert summary.cycles + summary.paths >= 1
+
+
+def test_walk_budget_comes_before_the_partner_arrays():
+    big = MeanderType((1, WALK_MAX_ORDER), (WALK_MAX_ORDER + 1,))
+    message = f"order {WALK_MAX_ORDER + 1} exceeds the walk budget {WALK_MAX_ORDER}"
+    for route in (index_naive, build_graph):
+        with pytest.raises(PreconditionError, match=message):
+            route(big)
+    assert index_naive(MeanderType((), ())) == -1

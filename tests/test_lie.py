@@ -35,7 +35,6 @@ from meanderkit.lie import (
     _is_prime,
     _kirillov_rows,
     _reconstruct,
-    _sl_basis,
 )
 from meanderkit.winding import _frobenius_tree
 
@@ -279,6 +278,12 @@ def _lift(mat, p):
     return [[Fraction(*_reconstruct(v, p)) for v in row] for row in mat]
 
 
+def _sl_basis(m):
+    """Basis of the trace-zero seaweed: off-diagonal units, diagonal differences."""
+    basis = [{(i, j): 1} for i, j in seaweed_positions(m).positions if i != j]
+    return basis + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(1, m.n)]
+
+
 def _cybe_kirillov_matrix(m):
     basis = _sl_basis(m)
     f = canonical_functional(m)
@@ -296,6 +301,93 @@ def test_solve_inverts_cybe_kirillov_matrix():
         inverse = _lift(y, p)
         assert inverse == _fraction_reduce(a, identity)[1]
         assert _matmul(a, inverse) == identity
+
+
+def _cybe_exact(m, mutation=None):
+    """The exact route: r = K^-1 on _sl_basis(m) from _fraction_reduce,
+    scaled by the lcm of its denominators, and [r12, r13] + [r12, r23] +
+    [r13, r23] summed into a dict keyed by position triples.  A mutation
+    (a, b, delta) adds delta to K[a][b] and takes it from K[b][a].  None
+    when K is singular."""
+    basis = _sl_basis(m)
+    dim = len(basis)
+    f = canonical_functional(m)
+    brackets = [[_bracket(x, y) for y in basis] for x in basis]
+    k = [[_feval(f, t) for t in row] for row in brackets]
+    if mutation:
+        a, b, delta = mutation
+        k[a][b] += delta
+        k[b][a] -= delta
+    identity = [[int(a == b) for b in range(dim)] for a in range(dim)]
+    rank, inverse = _fraction_reduce(k, identity)
+    if rank < dim:
+        return None
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    r = {(a, b): int(x * den) for a, row in enumerate(inverse) for b, x in enumerate(row) if x}
+    acc = {}
+
+    def add(t1, t2, t3, coef):
+        for p1, v1 in t1.items():
+            for p2, v2 in t2.items():
+                for p3, v3 in t3.items():
+                    key = (p1, p2, p3)
+                    acc[key] = acc.get(key, 0) + coef * v1 * v2 * v3
+
+    for (a, b), rab in r.items():
+        for (c, d), rcd in r.items():
+            coef = rab * rcd
+            add(brackets[a][c], basis[b], basis[d], coef)
+            add(basis[a], brackets[b][c], basis[d], coef)
+            add(basis[a], basis[c], brackets[b][d], coef)
+    return not any(acc.values())
+
+
+def test_cybe_residual_matches_exact_route():
+    frobenius = [
+        m for n in range(1, 7) for m in enumerate_meanders(n) if index_naive(m) == 0
+    ]
+    assert len(frobenius) == 125
+    for m in frobenius:
+        assert cybe_residual(m) is _cybe_exact(m) is True
+
+
+def test_cybe_residual_on_skew_mutants(monkeypatch):
+    # one entry of the Kirillov form and its mirror changed, both at
+    # off-diagonal positions, which are units of both bases, so that the
+    # identity stays in the kernel of the gl form
+    rng = random.Random(12)
+    frobenius = [
+        m for n in range(3, 6) for m in enumerate_meanders(n) if index_naive(m) == 0
+    ]
+    real = lie._kirillov_rows
+    verdicts = []
+    for _ in range(60):
+        m = rng.choice(frobenius)
+        positions = seaweed_positions(m).positions
+        offdiagonal = [c for c, (i, j) in enumerate(positions) if i != j]
+        a, b = rng.sample(range(len(offdiagonal)), 2)
+        delta = rng.choice((-2, -1, 1, 2))
+        ga, gb = offdiagonal[a], offdiagonal[b]
+
+        def mutated(pattern, f):
+            rows = real(pattern, f)
+            for r, c, d in ((ga, gb, delta), (gb, ga, -delta)):
+                rows[r][c] = rows[r].get(c, 0) + d
+                if not rows[r][c]:
+                    del rows[r][c]
+            return rows
+
+        monkeypatch.setattr(lie, "_kirillov_rows", mutated)
+        expected = _cybe_exact(m, (a, b, delta))
+        if expected is None:
+            with pytest.raises(ConsistencyError):
+                cybe_residual(m)
+        else:
+            assert cybe_residual(m) is expected
+        verdicts.append(expected)
+    # 57 compared, 53 of them false; 3 mutants are singular
+    assert len(verdicts) - verdicts.count(None) >= 50
+    assert True in verdicts and False in verdicts
 
 
 def test_solve_inconsistent_and_singular():
@@ -359,10 +451,12 @@ def _rank_mod(rows, p):
     return len(_eliminate(rows, p))
 
 
-def _bareiss_rank(mat):
-    """Rank by fraction-free Bareiss elimination over the integers: every
-    entry stays a minor of the input, so each division is exact.  A slow
-    route several times faster than _fraction_rank on Kirillov matrices."""
+def _bareiss(mat):
+    """(rank, last pivot) by fraction-free Bareiss elimination over the
+    integers: every entry stays a minor of the input, so each division is
+    exact, and the last pivot of a square matrix of full rank is its
+    determinant up to sign.  A slow route several times faster than
+    _fraction_rank on Kirillov matrices."""
     rows = [row[:] for row in mat]
     rank, prev = 0, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -378,7 +472,7 @@ def _bareiss_rank(mat):
             cur[c] = 0
         prev = base[c]
         rank += 1
-    return rank
+    return rank, prev
 
 
 def test_rank_mod_matches_bareiss_on_kirillov_matrices():
@@ -389,7 +483,7 @@ def test_rank_mod_matches_bareiss_on_kirillov_matrices():
             pattern = seaweed_positions(m)
             for _ in range(3):
                 f = {q: rng.randint(-100, 100) for q in pattern.positions}
-                rank = _bareiss_rank(kirillov_matrix(pattern, f))
+                rank, _ = _bareiss(kirillov_matrix(pattern, f))
                 assert _rank_mod(_kirillov_rows(pattern, f), p) == rank
 
 
@@ -429,42 +523,52 @@ def test_reconstruct_hand_cases():
 
 
 def test_solves_retry_after_a_bad_prime(monkeypatch):
-    m = parse_type("1|4/2|3")
-    expected = principal_element(m)
+    # a prime that divides det K leaves K singular modulo it; at 1|1/2 the
+    # Yang-Baxter solves modulo 2 still pass their check, so only the rank
+    # refuses that prime
     real = lie._draw_prime
-    drawn = []
+    for text in ("1|4/2|3", "1|1/2"):
+        monkeypatch.setattr(lie, "_draw_prime", real)
+        m = parse_type(text)
+        expected = principal_element(m)
+        det = abs(_bareiss(_cybe_kirillov_matrix(m))[1])
+        bad = next(q for q in range(2, det + 1) if det % q == 0)
+        assert _is_prime(bad)
+        drawn = []
 
-    def draw(k):
-        drawn.append(k)
-        return 3 if k == 0 else real(k)
+        def draw(k):
+            drawn.append(k)
+            return bad if k == 0 else real(k)
 
-    monkeypatch.setattr(lie, "_draw_prime", draw)
-    assert principal_element(m) == expected
-    assert drawn == [0, 1]
-    drawn.clear()
-    assert cybe_residual(m)
-    assert drawn == [0, 1]
-    # three bad primes in a row are an error, not a result
-    monkeypatch.setattr(lie, "_draw_prime", lambda k: 3)
-    with pytest.raises(ConsistencyError):
-        principal_element(m)
-    with pytest.raises(ConsistencyError):
-        cybe_residual(m)
+        monkeypatch.setattr(lie, "_draw_prime", draw)
+        assert principal_element(m) == expected
+        assert drawn == [0, 1]
+        drawn.clear()
+        assert cybe_residual(m)
+        assert drawn == [0, 1]
+        # three bad primes in a row are an error, not a result
+        monkeypatch.setattr(lie, "_draw_prime", lambda k: bad)
+        with pytest.raises(ConsistencyError):
+            principal_element(m)
+        with pytest.raises(ConsistencyError):
+            cybe_residual(m)
 
 
 def test_corrupted_solutions_fail_their_certificates(monkeypatch):
     # one wrong entry per prime: every prime is refused
-    real = lie._reconstruct
+    real = lie._back_substitute
     corrupted = set()
 
-    def corrupt(u, p):
-        a, b = real(u, p)
-        if p in corrupted:
-            return a, b
-        corrupted.add(p)
-        return a + 1, b
+    def corrupt(pivots, p, ncols):
+        x = real(pivots, p, ncols)
+        if p not in corrupted:
+            corrupted.add(p)
+            col = x[min(x)]
+            j = min(col)
+            col[j] = (col[j] + 1) % p
+        return x
 
-    monkeypatch.setattr(lie, "_reconstruct", corrupt)
+    monkeypatch.setattr(lie, "_back_substitute", corrupt)
     m = parse_type("1|4/2|3")
     for solve in (cybe_residual, principal_element):
         corrupted.clear()
@@ -474,21 +578,24 @@ def test_corrupted_solutions_fail_their_certificates(monkeypatch):
 
 
 def test_principal_element_off_trace_zero_is_refused(monkeypatch):
-    # adding the identity keeps the defining equation, so only the trace
-    # check refuses the shifted solution
+    # adding the identity keeps the defining equation, and K y = u of the
+    # Yang-Baxter solves, so only the trace check refuses the shifted
+    # solutions
     m = parse_type("1|4/2|3")
     diagonal = [c for c, (i, j) in enumerate(seaweed_positions(m).positions) if i == j]
     real = lie._back_substitute
 
     def shifted(pivots, p, ncols):
         x = real(pivots, p, ncols)
+        columns = {j for col in x.values() for j in col}
         for c in diagonal:
-            x[c] = {0: (x.get(c, {}).get(0, 0) + 1) % p}
+            x[c] = {j: (x.get(c, {}).get(j, 0) + 1) % p for j in columns}
         return x
 
     monkeypatch.setattr(lie, "_back_substitute", shifted)
-    with pytest.raises(ConsistencyError):
-        principal_element(m)
+    for solve in (principal_element, cybe_residual):
+        with pytest.raises(ConsistencyError):
+            solve(m)
 
 
 def _strong_probable_prime(n, a):
