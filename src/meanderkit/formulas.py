@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Literal
 
-from .core import MeanderType, PreconditionError
+from .core import WALK_MAX_ORDER, MeanderType, PreconditionError, _check_budget
 
 __all__ = [
     "FourBlockType",
@@ -76,7 +76,9 @@ def index_four_block(t: FourBlockType) -> int:
 def family_parabolic(a: int, k: int, b: int) -> MeanderType:
     """k copies of a then b on top, their sum below; Frobenius by construction.
 
-    Requires a even and gcd(a, b) == 1.
+    Requires a even and gcd(a, b) == 1.  The k + 1 top blocks are checked
+    against core.WALK_MAX_ORDER before any tuple is built: a meander with
+    more blocks than that is over the walk budget too.
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
@@ -84,6 +86,7 @@ def family_parabolic(a: int, k: int, b: int) -> MeanderType:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if b < 1 or gcd(a, b) != 1:
         raise PreconditionError(f"b must be positive with gcd(a, b) == 1, got b={b}")
+    _check_budget("block count", k + 1, WALK_MAX_ORDER, "walk")
     top = (a,) * k + (b,)
     return MeanderType(top, (k * a + b,))
 
@@ -99,6 +102,7 @@ def family_biparabolic(
 
     The top copy count is k + bottom_copies (forced by the equal-sum
     constraint); passing an inconsistent explicit top_copies is an error.
+    The top blocks, the larger side, meet the budget of family_parabolic.
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
@@ -115,6 +119,7 @@ def family_biparabolic(
         )
     if derived < 1:
         raise PreconditionError("need at least one copy of a on top")
+    _check_budget("block count", derived + 1, WALK_MAX_ORDER, "walk")
     top = (a,) * derived + (b,)
     bottom = (b + k * a,) + (a,) * bottom_copies
     return MeanderType(top, bottom)

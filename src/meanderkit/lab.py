@@ -15,9 +15,11 @@ spectrum shape:
   Frobenius meander are symmetric about one half and unbroken.  This one is
   a proven fact, so a counterexample is a bug in this package.
 
-The last two take their meanders from the reverse search in winding, which
-generates the Frobenius meanders alone, so they cost in proportion to the
-meanders they check rather than to all 4^(n-1) pairs of order n.
+All three take their meanders from the reverse search in winding, pruned
+by budgets: the last two take its index-0 slice, the Frobenius meanders
+alone, and five_block_meanders, which feeds the gcd search, its five-block
+slice.  So each costs in proportion to the meanders it checks rather than
+to all 4^(n-1) pairs of order n.
 
 All scans are exhaustive over their stated range and produce reports that
 are reproducible bit for bit given the same parameters (wall-clock time is
@@ -41,12 +43,11 @@ from .core import (
     ParseError,
     PreconditionError,
     _block_spans,
-    _compositions,
     _index,
     _parse_uint,
 )
 from .spectrum import _block_measures_raw, _potentials, _spectrum_raw, classify
-from .winding import _frobenius_tree
+from .winding import _meander_tree
 
 __all__ = [
     "GcdCondition",
@@ -105,19 +106,20 @@ class ScanReport:
 
 
 def five_block_meanders(n_max: int) -> tuple[list[MeanderType], list[MeanderType]]:
-    """(frobenius, non_frobenius) meanders with exactly five blocks, order <= n_max."""
+    """(frobenius, non_frobenius) meanders with exactly five blocks, order <= n_max.
+
+    The reverse search with a five-block budget finds them, and the index
+    of each is read from its path.  Each list is sorted by order, then by
+    the number of top blocks, then top-major lexicographically.
+    """
     frob: list[MeanderType] = []
     nonfrob: list[MeanderType] = []
-    for n in range(1, n_max + 1):
-        by_len: dict[int, list] = {}
-        for comp in _compositions(n):
-            by_len.setdefault(len(comp), []).append(comp)
-        for top_len in range(1, 5):
-            bottom_len = 5 - top_len
-            for top in by_len.get(top_len, ()):
-                for bottom in by_len.get(bottom_len, ()):
-                    m = MeanderType(top, bottom)
-                    (frob if _index(top, bottom) == 0 else nonfrob).append(m)
+    for *_, top, bottom, index in sorted(
+        (sum(top), len(top), top, bottom, index)
+        for top, bottom, index in _meander_tree(n_max, n_max, 5)
+        if len(top) + len(bottom) == 5
+    ):
+        (frob if index == 0 else nonfrob).append(MeanderType(top, bottom))
     return frob, nonfrob
 
 
@@ -261,7 +263,7 @@ def _scan(kind: str, n_max: int, records) -> ScanReport:
     t0 = time.monotonic()
     found = []
     checked = 0
-    for top, bottom in _frobenius_tree(n_max):
+    for top, bottom, _ in _meander_tree(n_max, 0, 2 * n_max):
         checked += 1
         found.extend((top, bottom, record) for record in records(top, bottom))
     return ScanReport(

@@ -85,27 +85,27 @@ its 900 searches move the finger 600 blocks in all.  The single steps and
 the up-moves start it at the first block.  The period-2 runs, such as
 (P0 F0)^q and (F0 B0)^q, are still taken one move at a time.
 
-The simplified down-step also makes the Frobenius meanders a tree, which
-``_frobenius_tree`` walks by reverse search (Avis and Fukuda, 1996).  The
-root is 1/1, whose signature is C0(1) alone; the parent of any other
-Frobenius meander is its simplified down-step, which is never a C0 (a C0
-that leaves a meander would be followed by another).  The children of a
-meander are the results of ~F0, ~B0, ~R0 and ~P0 whose own down-step
-gives back that tag and exactly the meander, so each Frobenius meander
-is reached once, from its parent.  The case table says which they are.
-~B0 gives (2a1, a2, ...)/(a1, b1, ...), whose down-step is B0 since
-2a1 = 2b1'.  ~R0, defined when a1 > b1, gives (2a1-b1, a2, ...)/(a1,
-b2, ...), where b1' < a1' < 2b1', so R0.  ~P0, defined when there are
-two top blocks, gives (a1+2a2, a3, ...)/(a2, b1, ...), where a1' > 2b1',
-so P0.  Each of the three steps back down to exactly the meander, so it
+The simplified down-step also makes all meanders one tree, rooted at the
+empty meander, which ``_meander_tree`` walks by reverse search (Avis and
+Fukuda, 1996).  The parent of a meander is its simplified down-step, and
+its children are the results of the up-moves whose own down-step gives
+back that tag and exactly the meander, so each meander is reached once.
+The case table says which they are.  ~C0(c), c >= 1, from any meander,
+the empty one included, gives (c, a1, ...)/(c, b1, ...), which steps
+down by C0(c).  ~B0 gives (2a1, a2, ...)/(a1, b1, ...), whose down-step
+is B0 since 2a1 = 2b1'.  ~R0, defined when a1 > b1, gives (2a1-b1, a2,
+...)/(a1, b2, ...), where b1' < a1' < 2b1', so R0.  ~P0, defined when
+there are two top blocks, gives (a1+2a2, a3, ...)/(a2, b1, ...), where
+a1' > 2b1', so P0.  Each steps back down to exactly the meander, so it
 is a child whenever it is defined.  The flip (bottom, top) steps down by
 F0 exactly when a1 > b1; then its own a1' < b1', so no flip is taken
-twice in a row.  Pruning every child of order above the bound loses
-nothing: the down-step is deterministic, no step raises the order, so
-every ancestor of a meander within the bound is within it too, and every
-non-flip up-move raises the order.  The walk therefore costs a constant
-number of tuple operations per meander found, against one component walk
-per candidate, 4**(n-1) of them at order n, for a filter by index.
+twice in a row.  Three budgets prune exactly, since none of them falls
+along a path from the root: the order, which every non-flip up-move
+raises; the index, the sum of the ~C0 parameters minus one; and the
+block count, to which ~C0 adds two, ~B0 one and the others none.  So
+every ancestor of a meander within the budgets is within them too, and
+the walk costs a constant number of tuple operations per meander found,
+against one component walk per candidate, 4**(n-1) of them at order n.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ SIGNATURE_MAX_MOVES = 2 * WALK_MAX_ORDER
 # Most up-moves generate_frobenius takes.  Each walks all bottom blocks, so
 # a call grows about 4x per doubling: 0.96 s at 3 200 moves, 3.2 s at 5 000.
 GENERATE_MAX_MOVES = 5_000
+
+# Largest order enumerate_meanders takes.  It lists the 2**(n-1) compositions
+# of n before the first pair: 0.58 s at 85 MB at order 20, 0.97 s at 157 MB
+# at 21 (Python 3.11, shared 2-core host, peak RSS).
+ENUMERATE_MAX_ORDER = 20
 
 SIMPLIFIED_TAGS = ("F0", "C0", "B0", "R0", "P0")
 REFINED_TAGS = ("F", "C", "B", "R", "P", "IC", "IB", "IR")
@@ -683,39 +688,44 @@ def hat_reversed(sig: Sequence[Move]) -> list[UpMove]:
 
 
 def enumerate_meanders(n: int) -> Iterator[MeanderType]:
-    """All 4**(n-1) meanders of order n, lexicographic, top-major."""
+    """All 4**(n-1) meanders of order n, lexicographic, top-major; n runs
+    from 1 to ENUMERATE_MAX_ORDER."""
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
+    _check_budget("order", n, ENUMERATE_MAX_ORDER, "enumerate")
     comps = _compositions(n)
     for top in comps:
         for bottom in comps:
             yield MeanderType(top, bottom)
 
 
-def _frobenius_tree(n_max: int) -> Iterator[tuple[Composition, Composition]]:
-    """(top, bottom) of every Frobenius meander of order <= n_max, once each.
-
-    Reverse search from 1/1; see the module docstring for the children.
-    The pairs come in depth-first order, not sorted.
-    """
-    if n_max < 1:
-        return
-    stack = [((1,), (1,), 1)]
+def _meander_tree(
+    n_max: int, max_index: int, max_blocks: int
+) -> Iterator[tuple[Composition, Composition, int]]:
+    """(top, bottom, index) of every non-empty meander within the three
+    budgets, once each, depth first; see the module docstring for the walk."""
+    # each entry carries its order, its index and the blocks it may add
+    stack = [((), (), 0, -1, max_blocks)]
+    push = stack.append
     while stack:
-        top, bottom, n = stack.pop()
-        yield top, bottom
-        # the ~F0, ~B0, ~R0 and ~P0 children, each kept within the bound
-        a1 = top[0]
-        b1 = bottom[0]
-        if a1 > b1:
-            stack.append((bottom, top, n))
-        if n + a1 <= n_max:
-            stack.append(((2 * a1,) + top[1:], (a1,) + bottom, n + a1))
-        if a1 > b1 and n + a1 - b1 <= n_max:
-            stack.append(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:], n + a1 - b1))
-        if len(top) > 1 and n + top[1] <= n_max:
-            a2 = top[1]
-            stack.append(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2))
+        top, bottom, n, index, room = stack.pop()
+        if top:
+            yield top, bottom, index
+            # the ~F0, ~B0, ~R0 and ~P0 children, each kept within the budgets
+            a1 = top[0]
+            b1 = bottom[0]
+            if a1 > b1:
+                push((bottom, top, n, index, room))
+            if n + a1 <= n_max and room:
+                push(((2 * a1,) + top[1:], (a1,) + bottom, n + a1, index, room - 1))
+            if a1 > b1 and n + a1 - b1 <= n_max:
+                push(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:], n + a1 - b1, index, room))
+            if len(top) > 1 and n + top[1] <= n_max:
+                a2 = top[1]
+                push(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2, index, room))
+        if index < max_index and room > 1:
+            for c in range(1, min(n_max - n, max_index - index) + 1):
+                push(((c,) + top, (c,) + bottom, n + c, index + c, room - 2))
 
 
 def _valid_up_moves(sides: list[list[int]]) -> list[tuple[str, None, int | None]]:

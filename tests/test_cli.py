@@ -9,6 +9,7 @@ from meanderkit import parse_type
 from meanderkit.core import WALK_MAX_ORDER
 from meanderkit.lie import ORACLE_MAX_TRIALS
 from meanderkit.winding import (
+    ENUMERATE_MAX_ORDER,
     GENERATE_MAX_MOVES,
     SIGNATURE_MAX_MOVES,
     _reduce,
@@ -170,6 +171,12 @@ def test_vertex_budgets_exit_two():
          f"order 100000000001 exceeds the walk budget {WALK_MAX_ORDER}"),
         (("family", "parabolic", "2", "2000000", "1", "--json"),
          f"order 4000001 exceeds the walk budget {WALK_MAX_ORDER}"),
+        (("family", "parabolic", "2", "4000000", "1"),
+         f"block count 4000001 exceeds the walk budget {WALK_MAX_ORDER}"),
+        (("family", "biparabolic", "2", "1", "1", "3999999"),
+         f"block count 4000001 exceeds the walk budget {WALK_MAX_ORDER}"),
+        (("enumerate", str(ENUMERATE_MAX_ORDER + 1)),
+         f"order {ENUMERATE_MAX_ORDER + 1} exceeds the enumerate budget {ENUMERATE_MAX_ORDER}"),
         (("signature", "1|100000000000/100000000001"),
          f"move count 100000000003 exceeds the signature budget {SIGNATURE_MAX_MOVES}"),
         (("signature", "--refined", "1|100000000000/100000000001"),

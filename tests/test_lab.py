@@ -20,7 +20,7 @@ from meanderkit import (
 )
 from meanderkit.core import MeanderType, _compositions, _index
 from meanderkit.lab import _canonical_vectors, _in_scan_order, _scan_slice, _size_vectors
-from meanderkit.winding import _frobenius_tree, is_frobenius, signature_simplified
+from meanderkit.winding import _meander_tree, is_frobenius, signature_simplified
 
 from conftest import compositions
 
@@ -39,6 +39,29 @@ def test_five_block_meanders_split():
     assert all(len(m.top) + len(m.bottom) == 5 for m in frob + nonfrob)
     assert all(index_naive(m) == 0 for m in frob)
     assert all(index_naive(m) != 0 for m in nonfrob)
+
+
+def _five_block_loop(n_max):
+    """The slow route: every pair of compositions with five blocks in all,
+    order by order and by the number of top blocks, split by a component
+    walk each."""
+    frob, nonfrob = [], []
+    for n in range(1, n_max + 1):
+        by_len = {}
+        for comp in _compositions(n):
+            by_len.setdefault(len(comp), []).append(comp)
+        for top_len in range(1, 5):
+            for top in by_len.get(top_len, ()):
+                for bottom in by_len.get(5 - top_len, ()):
+                    m = MeanderType(top, bottom)
+                    (frob if _index(top, bottom) == 0 else nonfrob).append(m)
+    return frob, nonfrob
+
+
+def test_five_block_meanders_match_the_loop_in_order():
+    # the sampled gcd search draws from the lists by position
+    for n_max in range(0, 13):
+        assert five_block_meanders(n_max) == _five_block_loop(n_max)
 
 
 def test_search_gcd_small_run():
@@ -169,7 +192,8 @@ FROBENIUS_PER_ORDER = (1, 2, 6, 14, 34, 68, 150, 296, 586, 1140)
 
 def _frobenius_pairs(n_max):
     """The reverse-search tree, sorted into the brute loop's order."""
-    return sorted(_frobenius_tree(n_max), key=lambda tb: (sum(tb[0]), tb))
+    pairs = [(top, bottom) for top, bottom, _ in _meander_tree(n_max, 0, 2 * n_max)]
+    return sorted(pairs, key=lambda tb: (sum(tb[0]), tb))
 
 
 def test_frobenius_pairs_match_brute_filter():

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -38,11 +39,11 @@ from meanderkit import (
     wind_up,
 )
 
-from meanderkit.core import _index
+from meanderkit.core import _compositions, _index
 from meanderkit.winding import (
     _apply_up_raw,
-    _frobenius_tree,
     _meander,
+    _meander_tree,
     _reduce,
     _sides,
     _step_simplified_raw,
@@ -265,6 +266,73 @@ def test_enumerate_counts():
 def test_enumerate_rejects_nonpositive():
     with pytest.raises(PreconditionError):
         list(enumerate_meanders(0))
+
+
+@lru_cache(maxsize=None)
+def _brute_pairs(n_max):
+    """The slow route: (top, bottom, index) of every pair of compositions
+    of order <= n_max, by a component walk each."""
+    return [
+        (top, bottom, _index(top, bottom))
+        for n in range(1, n_max + 1)
+        for top in _compositions(n)
+        for bottom in _compositions(n)
+    ]
+
+
+def _tree_sorted(n_max, max_index, max_blocks):
+    """The reverse search, with no meander twice, sorted as _brute_pairs."""
+    found = list(_meander_tree(n_max, max_index, max_blocks))
+    assert len(found) == len(set(found))
+    return sorted(found, key=lambda item: (sum(item[0]), item[:2]))
+
+
+def test_meander_tree_matches_brute_loop():
+    # every pair of order <= n once, with the index read from its path
+    for n in range(0, 9):
+        assert _tree_sorted(n, n, 2 * n) == _brute_pairs(n)
+    assert len(_brute_pairs(8)) == sum(4 ** (n - 1) for n in range(1, 9))
+
+
+def test_meander_tree_budgets_match_brute_filter():
+    brute = _brute_pairs(9)
+    for max_index in range(3):
+        want = [item for item in brute if item[2] <= max_index]
+        assert _tree_sorted(9, max_index, 18) == want
+    for max_blocks in range(2, 7):
+        want = [item for item in brute if len(item[0]) + len(item[1]) <= max_blocks]
+        assert _tree_sorted(9, 9, max_blocks) == want
+    assert list(_meander_tree(9, -1, 18)) == list(_meander_tree(9, 9, 1)) == []
+
+
+def _frobenius_tree(n_max):
+    """The reference walk: (top, bottom) of every Frobenius meander of
+    order <= n_max by reverse search from 1/1, taking only the ~F0, ~B0,
+    ~R0 and ~P0 children."""
+    if n_max < 1:
+        return
+    stack = [((1,), (1,), 1)]
+    while stack:
+        top, bottom, n = stack.pop()
+        yield top, bottom
+        a1 = top[0]
+        b1 = bottom[0]
+        if a1 > b1:
+            stack.append((bottom, top, n))
+        if n + a1 <= n_max:
+            stack.append(((2 * a1,) + top[1:], (a1,) + bottom, n + a1))
+        if a1 > b1 and n + a1 - b1 <= n_max:
+            stack.append(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:], n + a1 - b1))
+        if len(top) > 1 and n + top[1] <= n_max:
+            a2 = top[1]
+            stack.append(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2))
+
+
+def test_index_zero_slice_is_the_frobenius_tree_in_order():
+    # the scans and the oracle's samples read the slice in this order
+    for n in range(0, 13):
+        tree = [(top, bottom, 0) for top, bottom in _frobenius_tree(n)]
+        assert list(_meander_tree(n, 0, 2 * n)) == tree
 
 
 def test_generate_frobenius_zero_moves():
@@ -517,7 +585,7 @@ def _assert_up_moves_match(m):
 
 
 def test_valid_up_moves_match_copy_and_step_exhaustive():
-    for top, bottom in _frobenius_tree(10):
+    for top, bottom, _ in _meander_tree(10, 0, 20):
         _assert_up_moves_match(MeanderType(top, bottom))
 
 
