@@ -32,7 +32,6 @@ import json
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
@@ -43,10 +42,11 @@ from .core import (
     ParseError,
     PreconditionError,
     _block_spans,
+    _check_budget,
     _index,
     _parse_uint,
 )
-from .spectrum import _block_measures_raw, _potentials, _spectrum_raw, classify
+from .spectrum import _count_block, _elements, _potentials, _spectrum_raw, classify
 from .winding import _meander_tree
 
 __all__ = [
@@ -58,6 +58,13 @@ __all__ = [
     "scan_block_measures",
     "load_config",
 ]
+
+
+# Most coefficient pairs search_gcd_conditions checks, counted from max_coef
+# before any vector is built.  Each pair costs 1.4-3.1 us on one worker
+# (Python 3.11, shared 2-core host), so max_coef 5, 3 242 258 600 pairs,
+# takes about 2 h at n_max 18, and max_coef 6 (1.7e10 pairs) is refused.
+GCD_MAX_PAIRS = 4_000_000_000
 
 
 @dataclass(frozen=True)
@@ -193,10 +200,13 @@ def search_gcd_conditions(
     given, each sample list is reduced to a seeded random subsample.
     Workers take interleaved slices of the first vectors; the merged result
     does not depend on the worker count.  workers must be >= 1, and at
-    most os.cpu_count() processes are started.
+    most os.cpu_count() processes are started.  More than GCD_MAX_PAIRS
+    pairs raise PreconditionError before any vector is built.
     """
     if max_coef < 1:
         raise PreconditionError("max_coef must be >= 1")
+    vectors = ((2 * max_coef + 1) ** 5 + 1) // 2  # canonical, zero included
+    _check_budget("pair count", vectors * (vectors + 1) // 2 - 1, GCD_MAX_PAIRS, "gcd")
     if workers < 1:
         raise PreconditionError("workers must be >= 1")
     if not sample or not non_sample:
@@ -312,17 +322,15 @@ def scan_block_measures(n_max: int) -> ScanReport:
     def records(top: Composition, bottom: Composition):
         phi, _ = _potentials(top, bottom)
         for side, comp in (("top", top), ("bottom", bottom)):
-            for k, span in enumerate(_block_spans(comp), start=1):
-                ms = _block_measures_raw(phi, span, side)
-                if not ms:
-                    continue
-                flags = classify(Counter(ms))
+            for k, (p, q) in enumerate(_block_spans(comp), start=1):
+                dims = _count_block(phi, p, q, side == "top", {})
+                flags = classify(dims)
                 if not (flags.symmetric and flags.unbroken):
                     yield {
                         "meander": str(MeanderType(top, bottom)),
                         "side": side,
                         "block": k,
-                        "measures": list(ms),
+                        "measures": list(_elements(dims)),
                     }
 
     return _scan("block-measures", n_max, records)

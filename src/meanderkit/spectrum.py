@@ -20,6 +20,12 @@ Measures are read off potentials: each path is walked once, from one of
 its ends, and every vertex on it gets a potential phi that rises by 1 along
 each oriented arc, so the measure of (i, j) is phi(j) - phi(i).  Cycles
 have no end and are never walked; their vertices get no potential.
+
+The spectrum is the multiset union of the block measures: the measures of
+the strict pairs of each block plus floor(size/2) zeros.  For index 0 the
+graph has no cycle and one path, so exactly n - 1 arcs; a block of size k
+holds floor(k/2) of them, so the block zeros sum to n - 1, which is the n
+diagonal pairs less the one zero the spectrum drops.
 """
 
 from __future__ import annotations
@@ -27,10 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    WALK_MAX_ORDER,
     Composition,
     MeanderType,
     PreconditionError,
     _block_spans,
+    _check_budget,
     _check_dim,
     _partners,
     _require_frobenius,
@@ -122,9 +130,11 @@ def measure(m: MeanderType, i: int, j: int) -> int:
 
     Raises PreconditionError when the vertices live in different components
     or their component is a cycle (no unique route).  Each call costs O(n):
-    it builds the partner arrays and walks every path of the meander.
+    it builds the partner arrays and walks every path of the meander, so
+    an order over core.WALK_MAX_ORDER raises PreconditionError first.
     """
     n = m.n
+    _check_budget("order", n, WALK_MAX_ORDER, "walk")
     if not (1 <= i <= n and 1 <= j <= n):
         raise PreconditionError(f"vertex out of range 1..{n}: ({i}, {j})")
     phi, root = _potentials(m.top, m.bottom)
@@ -135,32 +145,32 @@ def measure(m: MeanderType, i: int, j: int) -> int:
     return phi[j] - phi[i]  # type: ignore[operator]
 
 
+def _count_block(
+    phi: list[int | None], p: int, q: int, top: bool, dims: Spectrum
+) -> Spectrum:
+    """Add the measures of the block spanning p..q to dims and return it.
+
+    Strict pairs are taken right to left in a top block and left to right
+    in a bottom block, and (q - p + 1) // 2 zeros stand for the diagonal.
+    A block of size 1 adds nothing."""
+    get = dims.get
+    for i in range(p, q + 1):
+        fi = phi[i]
+        for j in range(p, i) if top else range(i + 1, q + 1):
+            e = phi[j] - fi
+            dims[e] = get(e, 0) + 1
+    if q > p:
+        dims[0] = get(0, 0) + (q - p + 1) // 2
+    return dims
+
+
 def _spectrum_raw(top: Composition, bottom: Composition) -> Spectrum:
     """Spectrum of a known-Frobenius meander at tuple level (no checks)."""
     phi, _ = _potentials(top, bottom)
     dims: Spectrum = {}
-    get = dims.get
-    pos = 1
-    for k in top:
-        q = pos + k
-        for i in range(pos, q):
-            fi = phi[i]
-            for j in range(pos, i + 1):
-                e = phi[j] - fi
-                dims[e] = get(e, 0) + 1
-        pos = q
-    pos = 1
-    for k in bottom:
-        q = pos + k
-        for i in range(pos, q):
-            fi = phi[i]
-            for j in range(i + 1, q):
-                e = phi[j] - fi
-                dims[e] = get(e, 0) + 1
-        pos = q
-    dims[0] -= 1
-    if dims[0] == 0:
-        del dims[0]
+    for comp, is_top in ((top, True), (bottom, False)):
+        for p, q in _block_spans(comp):
+            _count_block(phi, p, q, is_top, dims)
     return dims
 
 
@@ -202,18 +212,9 @@ def classify(s: Spectrum) -> SpectrumFlags:
     return SpectrumFlags(symmetric, unbroken, unimodal, strictly)
 
 
-def _block_measures_raw(
-    phi: list[int | None], span: tuple[int, int], side: str
-) -> tuple[int, ...]:
-    """Sorted measures inside the block spanning span, given the potentials."""
-    p, q = span
-    out = [0] * ((q - p + 1) // 2)
-    for i in range(p, q + 1):
-        fi = phi[i]
-        rng = range(p, i) if side == "top" else range(i + 1, q + 1)
-        for j in rng:
-            out.append(phi[j] - fi)
-    return tuple(sorted(out))
+def _elements(dims: Spectrum) -> tuple[int, ...]:
+    """The multiset dims as a sorted tuple."""
+    return tuple(e for e in sorted(dims) for _ in range(dims[e]))
 
 
 def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
@@ -231,7 +232,8 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
     if not (1 <= k <= len(comp)):
         raise PreconditionError(f"no {side} block {k}")
     phi, _ = _potentials(m.top, m.bottom)
-    return _block_measures_raw(phi, list(_block_spans(comp))[k - 1], side)
+    p, q = list(_block_spans(comp))[k - 1]
+    return _elements(_count_block(phi, p, q, side == "top", {}))
 
 
 def spectrum_to_json(s: Spectrum) -> dict:

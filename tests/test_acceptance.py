@@ -42,7 +42,7 @@ from meanderkit import (
 from meanderkit.core import _compositions, _index
 from meanderkit.spectrum import _spectrum_raw
 
-from conftest import random_meander
+from conftest import brute_pairs, random_meander
 
 
 def _report(k: int, label: str) -> None:
@@ -72,15 +72,11 @@ def test_criterion_02_nonfrobenius_signature_and_windup():
 def test_criterion_03_index_triple_agreement():
     t0 = time.perf_counter()
     checked = 0
-    for n in range(1, 11):
-        comps = _compositions(n)
-        for top in comps:
-            for bottom in comps:
-                m = MeanderType(top, bottom)
-                naive = _index(top, bottom)
-                assert index_from_signature(signature_simplified(m)) == naive
-                assert index_from_signature(signature_refined(m)) == naive
-                checked += 1
+    for top, bottom, naive in brute_pairs(10):
+        m = MeanderType(top, bottom)
+        assert index_from_signature(signature_simplified(m)) == naive
+        assert index_from_signature(signature_refined(m)) == naive
+        checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == sum(4 ** (n - 1) for n in range(1, 11))
     assert elapsed < 120

@@ -7,6 +7,7 @@ import sys
 from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
 from meanderkit import parse_type
 from meanderkit.core import WALK_MAX_ORDER
+from meanderkit.lab import GCD_MAX_PAIRS
 from meanderkit.lie import ORACLE_MAX_TRIALS
 from meanderkit.winding import (
     ENUMERATE_MAX_ORDER,
@@ -160,8 +161,9 @@ def test_spectrum_over_budget_exit_two():
 
 
 def test_vertex_budgets_exit_two():
-    # each bound is checked from the block sizes or the runs, before
-    # anything per vertex or per move is allocated
+    # each bound is checked from the block sizes, the runs or the
+    # coefficient bound, before anything per vertex, per move or per
+    # coefficient vector is allocated
     for argv, message in (
         (("diagram", "100000000/100000000"),
          f"cell count 20000000099999999 exceeds the diagram budget {DIAGRAM_MAX_CELLS}"),
@@ -185,6 +187,8 @@ def test_vertex_budgets_exit_two():
          f"move count 100000000 exceeds the generate budget {GENERATE_MAX_MOVES}"),
         (("generate", "--moves", str(GENERATE_MAX_MOVES + 1), "--seed", "1"),
          f"move count {GENERATE_MAX_MOVES + 1} exceeds the generate budget {GENERATE_MAX_MOVES}"),
+        (("search", "gcd", "--max-coef", "20", "--n-max", "5"),
+         f"pair count 1677832471697150 exceeds the gcd budget {GCD_MAX_PAIRS}"),
     ):
         assert call(*argv) == (2, "", f"error: {message}\n")
     # the largest square diagram within the bound

@@ -18,11 +18,12 @@ from meanderkit import (
     scan_unimodality,
     search_gcd_conditions,
 )
+from meanderkit import lab
 from meanderkit.core import MeanderType, _compositions, _index
 from meanderkit.lab import _canonical_vectors, _in_scan_order, _scan_slice, _size_vectors
 from meanderkit.winding import _meander_tree, is_frobenius, signature_simplified
 
-from conftest import compositions
+from conftest import brute_pairs, compositions
 
 
 def test_condition_validation():
@@ -122,6 +123,21 @@ def test_search_gcd_workers_bounded(monkeypatch):
     assert capped.payload() == one.payload()
 
 
+def test_search_gcd_pair_budget(monkeypatch):
+    # ((2c + 1)^5 + 1) / 2 canonical vectors, the zero one included, and
+    # every pair of them but zero with zero: 7 502 at max_coef 1
+    frob, nonfrob = five_block_meanders(6)
+    for c, pairs in ((20, 1677832471697150), (6, 17232497127)):
+        with pytest.raises(PreconditionError) as exc:
+            search_gcd_conditions(c, frob, nonfrob)
+        assert str(exc.value) == f"pair count {pairs} exceeds the gcd budget {lab.GCD_MAX_PAIRS}"
+    monkeypatch.setattr(lab, "GCD_MAX_PAIRS", 7502)
+    assert search_gcd_conditions(1, frob, nonfrob).checked == 7502
+    monkeypatch.setattr(lab, "GCD_MAX_PAIRS", 7501)
+    with pytest.raises(PreconditionError, match="pair count 7502 exceeds"):
+        search_gcd_conditions(1, frob, nonfrob)
+
+
 def test_search_gcd_slices_balanced():
     # every inner loop runs from its first vector to the end; interleaved
     # slices share those loops out so that no slice is more than one loop
@@ -154,6 +170,26 @@ def test_scan_block_measures_small():
     report = scan_block_measures(8)
     assert report.counterexamples == []
     assert scan_block_measures(1).counterexamples == []
+
+
+def test_scan_block_measures_reports_a_broken_block(monkeypatch):
+    # lowering phi(1) of 1|2/3 by 2 leaves its top blocks symmetric and
+    # unbroken but turns the bottom block's measures 4, 3, -1 and one 0
+    # into a counterexample, reported with its measures sorted
+    real = lab._potentials
+
+    def skewed(top, bottom):
+        phi, root = real(top, bottom)
+        if (top, bottom) == ((1, 2), (3,)):
+            phi[1] -= 2
+        return phi, root
+
+    monkeypatch.setattr(lab, "_potentials", skewed)
+    report = scan_block_measures(4)
+    assert report.counterexamples == [
+        {"meander": "1|2/3", "side": "bottom", "block": 1, "measures": [-1, 0, 3, 4]}
+    ]
+    assert report.checked == 23
 
 
 def test_report_json_round_trip():
@@ -198,13 +234,7 @@ def _frobenius_pairs(n_max):
 
 def test_frobenius_pairs_match_brute_filter():
     # the slow route: every pair of compositions, kept when its index is 0
-    brute = [
-        (top, bottom)
-        for n in range(1, 11)
-        for top in _compositions(n)
-        for bottom in _compositions(n)
-        if _index(top, bottom) == 0
-    ]
+    brute = [(top, bottom) for top, bottom, index in brute_pairs(10) if index == 0]
     for n_max in range(1, 11):
         assert _frobenius_pairs(n_max) == [tb for tb in brute if sum(tb[0]) <= n_max]
     counts = [sum(1 for top, _ in brute if sum(top) == n) for n in range(1, 11)]

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,10 @@ from meanderkit import (
     spectrum,
     spectrum_to_json,
 )
+from meanderkit.core import WALK_MAX_ORDER, _block_spans
 from meanderkit.spectrum import _potentials
+
+from conftest import brute_pairs
 
 
 def test_admissible_pair_counts():
@@ -47,6 +51,13 @@ def test_measure_antisymmetric():
     m = parse_type("1|4/2|3")
     for i, j in admissible_pairs(m):
         assert measure(m, i, j) == -measure(m, j, i)
+
+
+def test_measure_walk_budget():
+    # the order is checked before the partner arrays are built
+    with pytest.raises(PreconditionError) as exc:
+        measure(MeanderType((10**9,), (10**9,)), 1, 1)
+    assert str(exc.value) == f"order 1000000000 exceeds the walk budget {WALK_MAX_ORDER}"
 
 
 def test_measure_rejects_cycles_and_split_components():
@@ -79,6 +90,40 @@ def test_spectrum_total_dimension():
             dims = spectrum(m)
             expected = (sum(a * a for a in m.top) + sum(b * b for b in m.bottom)) // 2 - 1
             assert sum(dims.values()) == expected
+
+
+def _frobenius(n_max):
+    return [MeanderType(top, bottom) for top, bottom, index in brute_pairs(n_max) if index == 0]
+
+
+def _blocks(m):
+    """(side, k, first, last) of every block, top blocks first."""
+    for side, comp in (("top", m.top), ("bottom", m.bottom)):
+        for k, (p, q) in enumerate(_block_spans(comp), start=1):
+            yield side, k, p, q
+
+
+def test_spectrum_and_block_measures_match_the_definition():
+    # the slow route: one measure call per admissible pair, each a walk
+    for m in _frobenius(8):
+        dims = Counter(measure(m, i, j) for i, j in admissible_pairs(m))
+        dims[0] -= 1
+        assert spectrum(m) == +dims
+        for side, k, p, q in _blocks(m):
+            strict = [
+                measure(m, i, j)
+                for i in range(p, q + 1)
+                for j in (range(p, i) if side == "top" else range(i + 1, q + 1))
+            ]
+            assert block_measures(m, side, k) == tuple(sorted(strict + [0] * ((q - p + 1) // 2)))
+
+
+def test_spectrum_is_the_union_of_block_measures():
+    for m in _frobenius(10):
+        union = Counter()
+        for side, k, _, _ in _blocks(m):
+            union.update(block_measures(m, side, k))
+        assert union == spectrum(m)
 
 
 def test_classify_golden():

@@ -1,5 +1,4 @@
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -39,7 +38,7 @@ from meanderkit import (
     wind_up,
 )
 
-from meanderkit.core import _compositions, _index
+from meanderkit.core import _index
 from meanderkit.winding import (
     _apply_up_raw,
     _meander,
@@ -50,7 +49,7 @@ from meanderkit.winding import (
     _valid_up_moves,
 )
 
-from conftest import compositions, random_meander
+from conftest import brute_pairs, compositions, random_meander
 
 
 # --- simplified winding down -------------------------------------------------
@@ -268,20 +267,8 @@ def test_enumerate_rejects_nonpositive():
         list(enumerate_meanders(0))
 
 
-@lru_cache(maxsize=None)
-def _brute_pairs(n_max):
-    """The slow route: (top, bottom, index) of every pair of compositions
-    of order <= n_max, by a component walk each."""
-    return [
-        (top, bottom, _index(top, bottom))
-        for n in range(1, n_max + 1)
-        for top in _compositions(n)
-        for bottom in _compositions(n)
-    ]
-
-
 def _tree_sorted(n_max, max_index, max_blocks):
-    """The reverse search, with no meander twice, sorted as _brute_pairs."""
+    """The reverse search, with no meander twice, sorted as brute_pairs."""
     found = list(_meander_tree(n_max, max_index, max_blocks))
     assert len(found) == len(set(found))
     return sorted(found, key=lambda item: (sum(item[0]), item[:2]))
@@ -290,12 +277,12 @@ def _tree_sorted(n_max, max_index, max_blocks):
 def test_meander_tree_matches_brute_loop():
     # every pair of order <= n once, with the index read from its path
     for n in range(0, 9):
-        assert _tree_sorted(n, n, 2 * n) == _brute_pairs(n)
-    assert len(_brute_pairs(8)) == sum(4 ** (n - 1) for n in range(1, 9))
+        assert _tree_sorted(n, n, 2 * n) == brute_pairs(n)
+    assert len(brute_pairs(8)) == sum(4 ** (n - 1) for n in range(1, 9))
 
 
 def test_meander_tree_budgets_match_brute_filter():
-    brute = _brute_pairs(9)
+    brute = brute_pairs(9)
     for max_index in range(3):
         want = [item for item in brute if item[2] <= max_index]
         assert _tree_sorted(9, max_index, 18) == want
