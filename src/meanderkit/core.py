@@ -295,28 +295,15 @@ def _check_dim(m: MeanderType, limit: int, budget: str) -> None:
     _check_budget("seaweed dimension", dim, limit, budget)
 
 
-def _require_frobenius(m: MeanderType) -> None:
-    """Raise NotFrobeniusError, carrying index_naive(m), unless m has index 0."""
-    ix = index_naive(m)
-    if ix != 0:
-        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
-
-
-def _compositions(n: int) -> list[Composition]:
-    """All compositions of n in lexicographic order."""
-    if n == 0:
-        return [()]
-    out: list[Composition] = []
-    stack: list[int] = []
-
-    def rec(rem: int) -> None:
-        if rem == 0:
-            out.append(tuple(stack))
+def _compositions(n: int) -> Iterator[Composition]:
+    """All compositions of n in lexicographic order, lazily: the successor
+    of (..., y, x) is (..., y + 1) followed by x - 1 ones."""
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) < 2:
             return
-        for first in range(1, rem + 1):
-            stack.append(first)
-            rec(rem - first)
-            stack.pop()
-
-    rec(n)
-    return out
+        x = parts.pop()
+        parts[-1] += 1
+        if x > 1:
+            parts += [1] * (x - 1)

@@ -294,7 +294,7 @@ def scan_unimodality(n_max: int) -> ScanReport:
     """
 
     def records(top: Composition, bottom: Composition):
-        dims = _spectrum_raw(top, bottom)
+        dims = _spectrum_raw(_potentials(top, bottom)[0], top, bottom)
         flags = classify(dims)
         if not (flags.symmetric and flags.unbroken):
             raise AssertionError(

@@ -71,9 +71,8 @@ from .core import (
     _arcs,
     _block_spans,
     _check_dim,
-    _require_frobenius,
 )
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _require_frobenius
 
 __all__ = [
     "SeaweedPattern",

@@ -19,7 +19,9 @@ the corresponding seaweed subalgebra of sl(n).
 Measures are read off potentials: each path is walked once, from one of
 its ends, and every vertex on it gets a potential phi that rises by 1 along
 each oriented arc, so the measure of (i, j) is phi(j) - phi(i).  Cycles
-have no end and are never walked; their vertices get no potential.
+have no end and are never walked; their vertices get no potential.  The
+index is 2 * cycles + paths - 1, so Frobenius means no cycle and one path:
+every vertex rooted, with one root.  So the walk is the Frobenius check.
 
 The spectrum is the multiset union of the block measures: the measures of
 the strict pairs of each block plus floor(size/2) zeros.  For index 0 the
@@ -35,13 +37,15 @@ from dataclasses import dataclass
 from .core import (
     WALK_MAX_ORDER,
     Composition,
+    ConsistencyError,
     MeanderType,
+    NotFrobeniusError,
     PreconditionError,
     _block_spans,
     _check_budget,
     _check_dim,
     _partners,
-    _require_frobenius,
+    index_naive,
 )
 
 __all__ = [
@@ -58,11 +62,11 @@ __all__ = [
 # eigenvalue -> dimension of its eigenspace
 Spectrum = dict[int, int]
 
-# Most admissible pairs (the seaweed dimension) that spectrum and
-# block_measures accept; above it they raise PreconditionError before the
-# Frobenius check builds arrays over the vertices.  At it (Python 3.11,
-# shared 2-core host, peak RSS), spectrum of 1154|1155/2309 takes 0.8 s at
-# 16 MB, and of 2|...|2/1|2|...|2|1 of order 2 000 000 4.6-4.9 s at 215 MB.
+# Most admissible pairs (the seaweed dimension, at least the order) that
+# spectrum and block_measures accept; above it they raise PreconditionError
+# before the potentials walk, the Frobenius check, allocates per vertex.  At
+# it (Python 3.11, shared 2-core host, peak RSS), spectrum of 1154|1155/2309
+# takes 0.6 s at 16 MB, and of 2|...|2/1|2|...|2|1 of order 2e6 3.5-3.8 s at 215 MB.
 SPECTRUM_MAX_DIM = 4_000_000
 
 
@@ -125,6 +129,19 @@ def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None]
     return phi, root
 
 
+def _require_frobenius(m: MeanderType) -> list[int | None]:
+    """phi of m, from one walk, if m is Frobenius; else NotFrobeniusError
+    with index_naive(m), run only then.  Callers check a dimension budget."""
+    phi, root = _potentials(m.top, m.bottom)
+    # root[0] is a padding 0, counted too if a cycle runs through vertex n
+    if root[-1] and root.count(root[-1]) == m.n:
+        return phi
+    ix = index_naive(m)
+    if ix == 0:
+        raise ConsistencyError(f"the potentials walk refused {m}, of index 0")
+    raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+
+
 def measure(m: MeanderType, i: int, j: int) -> int:
     """Forward minus backward arcs along the unique path from v_i to v_j.
 
@@ -164,9 +181,8 @@ def _count_block(
     return dims
 
 
-def _spectrum_raw(top: Composition, bottom: Composition) -> Spectrum:
-    """Spectrum of a known-Frobenius meander at tuple level (no checks)."""
-    phi, _ = _potentials(top, bottom)
+def _spectrum_raw(phi: list[int | None], top: Composition, bottom: Composition) -> Spectrum:
+    """Spectrum of a known-Frobenius meander from its potentials (no checks)."""
     dims: Spectrum = {}
     for comp, is_top in ((top, True), (bottom, False)):
         for p, q in _block_spans(comp):
@@ -182,8 +198,7 @@ def spectrum(m: MeanderType) -> Spectrum:
     SPECTRUM_MAX_DIM raises PreconditionError before that check.
     """
     _check_dim(m, SPECTRUM_MAX_DIM, "spectrum")
-    _require_frobenius(m)
-    return _spectrum_raw(m.top, m.bottom)
+    return _spectrum_raw(_require_frobenius(m), m.top, m.bottom)
 
 
 def classify(s: Spectrum) -> SpectrumFlags:
@@ -227,11 +242,10 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
     if side not in ("top", "bottom"):
         raise PreconditionError(f"side must be 'top' or 'bottom', got {side!r}")
     _check_dim(m, SPECTRUM_MAX_DIM, "spectrum")
-    _require_frobenius(m)
+    phi = _require_frobenius(m)
     comp = m.top if side == "top" else m.bottom
     if not (1 <= k <= len(comp)):
         raise PreconditionError(f"no {side} block {k}")
-    phi, _ = _potentials(m.top, m.bottom)
     p, q = list(_block_spans(comp))[k - 1]
     return _elements(_count_block(phi, p, q, side == "top", {}))
 

@@ -161,9 +161,9 @@ SIGNATURE_MAX_MOVES = 2 * WALK_MAX_ORDER
 # a call grows about 4x per doubling: 0.96 s at 3 200 moves, 3.2 s at 5 000.
 GENERATE_MAX_MOVES = 5_000
 
-# Largest order enumerate_meanders takes.  It lists the 2**(n-1) compositions
-# of n before the first pair: 0.58 s at 85 MB at order 20, 0.97 s at 157 MB
-# at 21 (Python 3.11, shared 2-core host, peak RSS).
+# Largest order enumerate_meanders takes.  It streams, but `enumerate 11`
+# writes its 4**10 lines in 6-10 s (Python 3.11, shared 2-core host), so the
+# 4**19 of order 20 would take weeks, and no larger order could finish.
 ENUMERATE_MAX_ORDER = 20
 
 SIMPLIFIED_TAGS = ("F0", "C0", "B0", "R0", "P0")
@@ -693,9 +693,8 @@ def enumerate_meanders(n: int) -> Iterator[MeanderType]:
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
     _check_budget("order", n, ENUMERATE_MAX_ORDER, "enumerate")
-    comps = _compositions(n)
-    for top in comps:
-        for bottom in comps:
+    for top in _compositions(n):
+        for bottom in _compositions(n):
             yield MeanderType(top, bottom)
 
 

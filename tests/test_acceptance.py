@@ -40,7 +40,7 @@ from meanderkit import (
     wind_up,
 )
 from meanderkit.core import _compositions, _index
-from meanderkit.spectrum import _spectrum_raw
+from meanderkit.spectrum import _potentials, _spectrum_raw
 
 from conftest import brute_pairs, random_meander
 
@@ -109,14 +109,14 @@ def test_criterion_06_spectrum_shape_exhaustive():
     t0 = time.perf_counter()
     frobenius_count = 0
     for n in range(1, 13):
-        comps = _compositions(n)
+        comps = list(_compositions(n))
         for top in comps:
             for bottom in comps:
                 if _index(top, bottom) != 0:
                     continue
                 frobenius_count += 1
                 m = MeanderType(top, bottom)
-                flags = classify(_spectrum_raw(top, bottom))
+                flags = classify(_spectrum_raw(_potentials(top, bottom)[0], top, bottom))
                 assert flags.symmetric and flags.unbroken, f"spectrum shape fails at {m}"
                 for side, comp in (("top", top), ("bottom", bottom)):
                     for k in range(1, len(comp) + 1):

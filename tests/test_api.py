@@ -1,0 +1,180 @@
+"""The public library surface, pinned name by name.
+
+Dropping or renaming a public name is an API change: it must show up here
+as an edited list, not pass unnoticed.
+"""
+
+import importlib
+import types
+
+import pytest
+
+import meanderkit
+
+MODULE_ALL = {
+    "core": [
+        "Composition",
+        "MeanderType",
+        "MeanderGraph",
+        "ComponentSummary",
+        "MeanderError",
+        "ParseError",
+        "PreconditionError",
+        "NotFrobeniusError",
+        "ConsistencyError",
+        "parse_type",
+        "build_graph",
+        "components",
+        "index_naive",
+    ],
+    "spectrum": [
+        "Spectrum",
+        "SpectrumFlags",
+        "admissible_pairs",
+        "measure",
+        "spectrum",
+        "classify",
+        "block_measures",
+        "spectrum_to_json",
+    ],
+    "lie": [
+        "SeaweedPattern",
+        "Functional",
+        "PrincipalElement",
+        "seaweed_positions",
+        "kirillov_matrix",
+        "index_oracle",
+        "canonical_functional",
+        "principal_element",
+        "ad_spectrum",
+        "cybe_residual",
+    ],
+    "winding": [
+        "Move",
+        "UpMove",
+        "RefinedStep",
+        "HomotopySymbol",
+        "PlaneHomotopyType",
+        "WindUpError",
+        "step_simplified",
+        "signature_simplified",
+        "step_refined",
+        "step_refined_full",
+        "signature_refined",
+        "index_from_signature",
+        "is_frobenius",
+        "homotopy_type",
+        "wind_up",
+        "apply_up_move",
+        "hat_reversed",
+        "enumerate_meanders",
+        "generate_frobenius",
+        "signature_to_text",
+        "parse_signature",
+        "up_moves_to_text",
+        "parse_up_moves",
+    ],
+    "formulas": [
+        "FourBlockType",
+        "index_two_block",
+        "index_four_block",
+        "family_parabolic",
+        "family_biparabolic",
+    ],
+    "lab": [
+        "GcdCondition",
+        "ScanReport",
+        "five_block_meanders",
+        "search_gcd_conditions",
+        "scan_unimodality",
+        "scan_block_measures",
+        "load_config",
+    ],
+    "cli": ["run", "main"],
+}
+
+# what `import meanderkit` binds, submodules aside
+PACKAGE_NAMES = {
+    "ComponentSummary",
+    "Composition",
+    "ConsistencyError",
+    "FourBlockType",
+    "GcdCondition",
+    "HomotopySymbol",
+    "MeanderError",
+    "MeanderGraph",
+    "MeanderType",
+    "Move",
+    "NotFrobeniusError",
+    "ParseError",
+    "PlaneHomotopyType",
+    "PreconditionError",
+    "PrincipalElement",
+    "RefinedStep",
+    "ScanReport",
+    "SeaweedPattern",
+    "SpectrumFlags",
+    "UpMove",
+    "WindUpError",
+    "ad_spectrum",
+    "admissible_pairs",
+    "apply_up_move",
+    "block_measures",
+    "build_graph",
+    "canonical_functional",
+    "classify",
+    "components",
+    "cybe_residual",
+    "enumerate_meanders",
+    "family_biparabolic",
+    "family_parabolic",
+    "five_block_meanders",
+    "format_type",
+    "generate_frobenius",
+    "hat_reversed",
+    "homotopy_type",
+    "index_four_block",
+    "index_from_signature",
+    "index_naive",
+    "index_oracle",
+    "index_two_block",
+    "is_frobenius",
+    "kirillov_matrix",
+    "load_config",
+    "measure",
+    "parse_signature",
+    "parse_type",
+    "parse_up_moves",
+    "principal_element",
+    "scan_block_measures",
+    "scan_unimodality",
+    "search_gcd_conditions",
+    "seaweed_positions",
+    "signature_refined",
+    "signature_simplified",
+    "signature_to_text",
+    "spectrum",
+    "spectrum_to_json",
+    "step_refined",
+    "step_refined_full",
+    "step_simplified",
+    "up_moves_to_text",
+    "wind_up",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ALL))
+def test_module_all_is_pinned(name):
+    module = importlib.import_module(f"meanderkit.{name}")
+    assert module.__all__ == MODULE_ALL[name]
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_names_are_pinned():
+    public = {
+        n
+        for n, value in vars(meanderkit).items()
+        if not n.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PACKAGE_NAMES

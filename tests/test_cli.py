@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
-from meanderkit import parse_type
+from meanderkit import enumerate_meanders, index_naive, parse_type
 from meanderkit.core import WALK_MAX_ORDER
 from meanderkit.lab import GCD_MAX_PAIRS
 from meanderkit.lie import ORACLE_MAX_TRIALS
@@ -42,10 +42,12 @@ def test_index_verify():
 
 
 def test_spectrum_not_frobenius_exit_two():
-    code, out, err = call("spectrum", "3/3")
-    assert code == 2
-    assert "not Frobenius (index 2)" in err
-    assert out == ""
+    assert call("spectrum", "3/3") == (2, "", "error: not Frobenius (index 2)\n")
+    for n in range(1, 7):
+        for m in enumerate_meanders(n):
+            ix = index_naive(m)
+            if ix != 0:
+                assert call("spectrum", str(m)) == (2, "", f"error: not Frobenius (index {ix})\n")
 
 
 def test_spectrum_json_schema():

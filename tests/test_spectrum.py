@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from meanderkit import (
+    ConsistencyError,
     MeanderType,
     ad_spectrum,
     NotFrobeniusError,
@@ -21,7 +22,7 @@ from meanderkit import (
     spectrum_to_json,
 )
 from meanderkit.core import WALK_MAX_ORDER, _block_spans
-from meanderkit.spectrum import _potentials
+from meanderkit.spectrum import _potentials, _require_frobenius
 
 from conftest import brute_pairs
 
@@ -245,7 +246,7 @@ def test_potentials_follow_paths():
 
 def test_frobenius_gate_shared_by_four_routes():
     meanders = [MeanderType((), ())]
-    for n in range(1, 6):
+    for n in range(1, 7):
         meanders += [m for m in enumerate_meanders(n) if index_naive(m) != 0]
     # principal_element, which ad_spectrum calls, shares the gate too
     routes = (
@@ -261,6 +262,68 @@ def test_frobenius_gate_shared_by_four_routes():
                 route(m)
             assert exc.value.index == index_naive(m)
             assert str(exc.value) == f"not Frobenius (index {index_naive(m)})"
+
+
+def test_frobenius_gate_matches_the_brute_index():
+    # 1|2/1|2: vertex 1 is a lone path and a cycle runs through the last
+    # vertex, so a count of the last root alone would also count the
+    # padding 0 of root[0] and accept it
+    with pytest.raises(NotFrobeniusError, match=r"^not Frobenius \(index 2\)$"):
+        _require_frobenius(parse_type("1|2/1|2"))
+    assert _require_frobenius(parse_type("1/1")) == [None, 0]
+    with pytest.raises(NotFrobeniusError) as exc:
+        _require_frobenius(MeanderType((), ()))
+    assert exc.value.index == -1
+    assert str(exc.value) == "not Frobenius (index -1)"
+    for top, bottom, ix in brute_pairs(8):
+        m = MeanderType(top, bottom)
+        if ix == 0:
+            assert _require_frobenius(m) == _potentials(top, bottom)[0]
+        else:
+            with pytest.raises(NotFrobeniusError) as exc:
+                _require_frobenius(m)
+            assert exc.value.index == ix
+
+
+def test_frobenius_gate_is_the_one_walk(monkeypatch):
+    module = importlib.import_module("meanderkit.spectrum")
+    calls = []
+    real_partners = module._partners
+
+    def partners(*args):
+        calls.append(args)
+        return real_partners(*args)
+
+    def no_index(m):
+        raise AssertionError(f"index_naive ran on {m}")
+
+    monkeypatch.setattr(module, "_partners", partners)
+    monkeypatch.setattr(module, "index_naive", no_index)
+    goldens = [
+        (lambda: spectrum(parse_type("1|4/2|3")), {-2: 1, -1: 2, 0: 4, 1: 4, 2: 2, 3: 1}),
+        (lambda: spectrum(parse_type("1/1")), {}),
+        (lambda: spectrum(parse_type("1|2/3")), {-1: 1, 0: 2, 1: 2, 2: 1}),
+        (lambda: block_measures(parse_type("1|4/2|3"), "top", 2), (-2, -1, 0, 0, 1, 1, 2, 3)),
+        (lambda: block_measures(parse_type("1|4/2|3"), "top", 1), ()),
+        (lambda: block_measures(parse_type("1|2/3"), "bottom", 1), (-1, 0, 1, 2)),
+    ]
+    for route, golden in goldens:
+        calls.clear()
+        assert route() == golden
+        assert len(calls) == 1
+    # the failure path still names the exact index
+    monkeypatch.setattr(module, "index_naive", index_naive)
+    for text, ix in (("3/3", 2), ("2|1/2|1", 2), ("5/5", 4), ("1|2/1|2", 2)):
+        for route in (spectrum, lambda m: block_measures(m, "top", 1)):
+            with pytest.raises(NotFrobeniusError, match=rf"^not Frobenius \(index {ix}\)$"):
+                route(parse_type(text))
+
+
+def test_frobenius_gate_raises_consistency_error_on_disagreement(monkeypatch):
+    module = importlib.import_module("meanderkit.spectrum")
+    monkeypatch.setattr(module, "index_naive", lambda m: 0)
+    with pytest.raises(ConsistencyError, match="potentials walk refused 3/3"):
+        spectrum(parse_type("3/3"))
 
 
 def test_spectrum_budget_comes_first(monkeypatch):
