@@ -1,9 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 internal consistency failure (two routes that must agree did not).  A
-reader that closes standard output early, as `| head` does, ends the
-command with exit 1 and nothing on standard error.
+3 consistency failure (two routes that must agree did not).  Every exit 3
+is a ConsistencyError that only `run` reports, with one line on standard
+error after whatever the command had already printed.  A reader that
+closes standard output early, as `| head` does, ends the command with
+exit 1 and nothing on standard error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import formulas, lab, lie, winding
-from .spectrum import classify as classify_spectrum
 from .spectrum import spectrum as spectrum_of
 from .spectrum import spectrum_to_json
 from .core import (
@@ -104,14 +105,17 @@ def _emit(text: str, out) -> None:
     print(text, file=out)
 
 
-def _write_output(args: _Args, text: str, out, err) -> int:
-    """Write text to the -o file, or else to out; 1 if the file fails, else 0."""
+def _print(args: _Args, out, err, text, payload=None) -> int:
+    """The one output path: write payload() as JSON under --json, else
+    text(), to the -o file or else to out; 1 if the file fails, else 0.
+    Only the form that is printed is built."""
+    body = json.dumps(payload()) if "--json" in args.flags else text()
     if "-o" not in args.options:
-        _emit(text, out)
+        _emit(body, out)
         return 0
     try:
         with open(args.options["-o"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(body + "\n")
     except OSError as exc:
         _emit(f"error: cannot write output: {exc}", err)
         return 1
@@ -184,25 +188,24 @@ def _one_meander(args: _Args) -> MeanderType:
     return parse_type(args.positional[0])
 
 
+def _signature_index(m: MeanderType) -> int:
+    """The index read from the runs of the signature, never expanded: the
+    sum of the C0 parameters, less one."""
+    return sum(winding._parameters(m)) - 1
+
+
 def _cmd_index(argv, out, err) -> int:
     args = _Args(argv, {"--json", "--verify"}, set())
     m = _one_meander(args)
-    ix = sum(winding._parameters(m)) - 1
+    ix = _signature_index(m)
     if "--verify" in args.flags:
         naive = index_naive(m)
         refined = winding.index_from_signature(winding.signature_refined(m))
         if not (ix == naive == refined):
-            _emit(
-                f"internal consistency failure: index disagreement "
-                f"signature={ix} naive={naive} refined={refined}",
-                err,
+            raise ConsistencyError(
+                f"index disagreement signature={ix} naive={naive} refined={refined}"
             )
-            return 3
-    if "--json" in args.flags:
-        _emit(json.dumps({"meander": str(m), "index": ix}), out)
-    else:
-        _emit(str(ix), out)
-    return 0
+    return _print(args, out, err, lambda: str(ix), lambda: {"meander": str(m), "index": ix})
 
 
 def _cmd_signature(argv, out, err) -> int:
@@ -214,38 +217,39 @@ def _cmd_signature(argv, out, err) -> int:
         sig = winding.signature_simplified(m)
     if "--verify" in args.flags:
         if winding.index_from_signature(sig) != index_naive(m):
-            _emit("internal consistency failure: signature index mismatch", err)
-            return 3
-    text = winding.signature_to_text(sig)
-    if "--json" in args.flags:
-        payload = {
+            raise ConsistencyError("signature index mismatch")
+    return _print(
+        args, out, err,
+        lambda: winding.signature_to_text(sig),
+        lambda: {
             "meander": str(m),
             "signature": [str(mv) for mv in sig],
             "index": winding.index_from_signature(sig),
             "frobenius": winding.is_frobenius(sig),
-        }
-        _emit(json.dumps(payload), out)
-    else:
-        _emit(text, out)
-    return 0
+        },
+    )
 
 
 def _cmd_homotopy(argv, out, err) -> int:
     args = _Args(argv, {"--json"}, set())
     m = _one_meander(args)
     ht = winding.homotopy_type(m)
-    if "--json" in args.flags:
-        payload = {
+    return _print(
+        args, out, err,
+        lambda: str(ht),
+        lambda: {
             "meander": str(m),
             "symbols": [
                 {"c": s.c, "circles": s.nested_cycles, "center_point": s.has_center_path}
                 for s in ht.symbols
             ],
-        }
-        _emit(json.dumps(payload), out)
-    else:
-        _emit(str(ht), out)
-    return 0
+        },
+    )
+
+
+def _eigenvalue_line(payload: dict) -> str:
+    """The text of spectrum_to_json's eigenvalues: e:dim, ascending."""
+    return " ".join(f"{x['e']}:{x['dim']}" for x in payload["eigenvalues"])
 
 
 def _cmd_spectrum(argv, out, err) -> int:
@@ -254,34 +258,29 @@ def _cmd_spectrum(argv, out, err) -> int:
     dims = spectrum_of(m)
     if "--verify" in args.flags:
         if lie.ad_spectrum(m) != dims:
-            _emit("internal consistency failure: spectrum oracle disagreement", err)
-            return 3
-    if "--json" in args.flags:
-        _emit(json.dumps(spectrum_to_json(dims)), out)
-    else:
-        flags = classify_spectrum(dims)
-        _emit(" ".join(f"{e}:{dims[e]}" for e in sorted(dims)), out)
-        _emit(
-            f"symmetric={str(flags.symmetric).lower()} "
-            f"unbroken={str(flags.unbroken).lower()} "
-            f"unimodal={str(flags.unimodal).lower()} "
-            f"strictly_unimodal={str(flags.strictly_unimodal).lower()}",
-            out,
-        )
-    return 0
+            raise ConsistencyError("spectrum oracle disagreement")
+    payload = spectrum_to_json(dims)
+    # the shape flags follow the eigenvalues in the payload
+    return _print(
+        args, out, err,
+        lambda: _eigenvalue_line(payload) + "\n" + " ".join(
+            f"{k}={str(v).lower()}" for k, v in payload.items() if k != "eigenvalues"
+        ),
+        lambda: payload,
+    )
 
 
 def _cmd_check(argv, out, err) -> int:
     args = _Args(argv, {"--json"}, set())
     m = _one_meander(args)
-    ix = sum(winding._parameters(m)) - 1
+    ix = _signature_index(m)
     # the final C0 is the only elimination, with c = 1, exactly when ix is 0
     frob = ix == 0
-    if "--json" in args.flags:
-        _emit(json.dumps({"meander": str(m), "frobenius": frob, "index": ix}), out)
-    else:
-        _emit(("frobenius" if frob else "not frobenius") + f" index={ix}", out)
-    return 0
+    return _print(
+        args, out, err,
+        lambda: ("frobenius" if frob else "not frobenius") + f" index={ix}",
+        lambda: {"meander": str(m), "frobenius": frob, "index": ix},
+    )
 
 
 def _cmd_generate(argv, out, err) -> int:
@@ -291,11 +290,7 @@ def _cmd_generate(argv, out, err) -> int:
         args = _Args(argv, {"--json"}, set())
         moves = winding.parse_up_moves(" ".join(args.positional))
         m = winding.wind_up(moves)
-        if "--json" in args.flags:
-            _emit(json.dumps({"meander": str(m)}), out)
-        else:
-            _emit(str(m), out)
-        return 0
+        return _print(args, out, err, lambda: str(m), lambda: {"meander": str(m)})
     moves = args.int_option("--moves", None)
     if moves is None:
         raise _Usage("generate needs --moves K or an explicit up-move sequence")
@@ -303,12 +298,11 @@ def _cmd_generate(argv, out, err) -> int:
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
     m = winding.generate_frobenius(moves, seed)
-    if "--json" in args.flags:
-        _emit(json.dumps({"meander": str(m), "seed": seed, "moves": moves}), out)
-    else:
-        _emit(str(m), out)
-        _emit(f"seed={seed} moves={moves}", out)
-    return 0
+    return _print(
+        args, out, err,
+        lambda: f"{m}\nseed={seed} moves={moves}",
+        lambda: {"meander": str(m), "seed": seed, "moves": moves},
+    )
 
 
 def _cmd_enumerate(argv, out, err) -> int:
@@ -331,41 +325,40 @@ def _cmd_oracle(argv, out, err) -> int:
     options = {"--trials", "--seed"} if sub == "index" else set()
     args = _Args(argv[1:], {"--json"}, options)
     m = _one_meander(args)
-    as_json = "--json" in args.flags
     if sub == "index":
         trials = args.int_option("--trials", 5)
         seed = args.int_option("--seed", 0)
         ix = lie.index_oracle(m, trials=trials, seed=seed)
-        if as_json:
-            _emit(json.dumps({"meander": str(m), "index": ix, "trials": trials, "seed": seed}), out)
-        else:
-            _emit(f"{ix} trials={trials} seed={seed}", out)
-        return 0
+        return _print(
+            args, out, err,
+            lambda: f"{ix} trials={trials} seed={seed}",
+            lambda: {"meander": str(m), "index": ix, "trials": trials, "seed": seed},
+        )
     if sub == "principal":
         fhat = lie.principal_element(m)
         if fhat.is_diagonal:
             diag = [_frac_json(x) for x in fhat.diagonal()]
-            if as_json:
-                _emit(json.dumps({"meander": str(m), "diag": diag}), out)
-            else:
-                _emit("diag " + " ".join(str(x) for x in diag), out)
-        else:
-            entries = {f"{i},{j}": _frac_json(v) for (i, j), v in sorted(fhat.entries.items())}
-            _emit(json.dumps({"meander": str(m), "matrix": entries}), out)
-        return 0
+            return _print(
+                args, out, err,
+                lambda: "diag " + " ".join(str(x) for x in diag),
+                lambda: {"meander": str(m), "diag": diag},
+            )
+        # a full matrix has no text form and prints as JSON either way
+        entries = {f"{i},{j}": _frac_json(v) for (i, j), v in sorted(fhat.entries.items())}
+        payload = {"meander": str(m), "matrix": entries}
+        return _print(args, out, err, lambda: json.dumps(payload), lambda: payload)
     if sub == "spectrum":
-        dims = lie.ad_spectrum(m)
-        if as_json:
-            _emit(json.dumps(spectrum_to_json(dims)), out)
-        else:
-            _emit(" ".join(f"{e}:{dims[e]}" for e in sorted(dims)), out)
-        return 0
+        payload = spectrum_to_json(lie.ad_spectrum(m))
+        return _print(args, out, err, lambda: _eigenvalue_line(payload), lambda: payload)
     ok = lie.cybe_residual(m)
-    if as_json:
-        _emit(json.dumps({"meander": str(m), "cybe_zero": ok}), out)
-    else:
-        _emit("true" if ok else "false", out)
-    return 0 if ok else 3
+    _print(
+        args, out, err,
+        lambda: "true" if ok else "false",
+        lambda: {"meander": str(m), "cybe_zero": ok},
+    )
+    if not ok:
+        raise ConsistencyError("classical Yang-Baxter residual is nonzero")
+    return 0
 
 
 def _cmd_family(argv, out, err) -> int:
@@ -389,11 +382,9 @@ def _cmd_family(argv, out, err) -> int:
         m = formulas.family_biparabolic(*values)
     else:
         raise _Usage(f"unknown family {sub!r}")
-    if "--json" in args.flags:
-        _emit(json.dumps({"meander": str(m), "index": index_naive(m)}), out)
-    else:
-        _emit(str(m), out)
-    return 0
+    return _print(
+        args, out, err, lambda: str(m), lambda: {"meander": str(m), "index": index_naive(m)}
+    )
 
 
 # The integer parameters of each search and their defaults.  Each is read
@@ -441,11 +432,10 @@ def _cmd_search(argv, out, err) -> int:
         report = lab.scan_unimodality(value["n_max"])
     else:
         report = lab.scan_block_measures(value["n_max"])
-    if _write_output(args, report.to_json(), out, err):
+    if _print(args, out, err, report.to_json):
         return 1
     if sub == "blocks" and report.counterexamples:
-        _emit("internal consistency failure: block-measure counterexample", err)
-        return 3
+        raise ConsistencyError("block-measure counterexample")
     return 0
 
 
@@ -537,5 +527,5 @@ def _cmd_diagram(argv, out, err) -> int:
     m = _one_meander(args)
     cells = (2 * m.n - 1) * (1 + max(m.top) // 2 + max(m.bottom) // 2)
     _check_budget("cell count", cells, DIAGRAM_MAX_CELLS, "diagram")
-    text = svg_diagram(m) if "--svg" in args.flags else ascii_diagram(m)
-    return _write_output(args, text, out, err)
+    draw = svg_diagram if "--svg" in args.flags else ascii_diagram
+    return _print(args, out, err, lambda: draw(m))

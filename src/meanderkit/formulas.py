@@ -91,18 +91,12 @@ def family_parabolic(a: int, k: int, b: int) -> MeanderType:
     return MeanderType(top, (k * a + b,))
 
 
-def family_biparabolic(
-    a: int,
-    b: int,
-    k: int,
-    bottom_copies: int,
-    top_copies: int | None = None,
-) -> MeanderType:
+def family_biparabolic(a: int, b: int, k: int, bottom_copies: int) -> MeanderType:
     """Top a|...|a|b over (b+ka)|a|...|a; Frobenius by construction.
 
-    The top copy count is k + bottom_copies (forced by the equal-sum
-    constraint); passing an inconsistent explicit top_copies is an error.
-    The top blocks, the larger side, meet the budget of family_parabolic.
+    The top copy count is k + bottom_copies, forced by the equal-sum
+    constraint.  The top blocks, the larger side, meet the budget of
+    family_parabolic.
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
@@ -112,14 +106,10 @@ def family_biparabolic(
         raise PreconditionError(f"k must be >= 0, got {k}")
     if bottom_copies < 0:
         raise PreconditionError(f"bottom_copies must be >= 0, got {bottom_copies}")
-    derived = k + bottom_copies
-    if top_copies is not None and top_copies != derived:
-        raise PreconditionError(
-            f"sum mismatch: top_copies must equal k + bottom_copies = {derived}"
-        )
-    if derived < 1:
+    top_copies = k + bottom_copies
+    if top_copies < 1:
         raise PreconditionError("need at least one copy of a on top")
-    _check_budget("block count", derived + 1, WALK_MAX_ORDER, "walk")
-    top = (a,) * derived + (b,)
+    _check_budget("block count", top_copies + 1, WALK_MAX_ORDER, "walk")
+    top = (a,) * top_copies + (b,)
     bottom = (b + k * a,) + (a,) * bottom_copies
     return MeanderType(top, bottom)

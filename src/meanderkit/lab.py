@@ -66,6 +66,19 @@ __all__ = [
 # takes about 2 h at n_max 18, and max_coef 6 (1.7e10 pairs) is refused.
 GCD_MAX_PAIRS = 4_000_000_000
 
+# Largest n_max of the two Frobenius scans, checked before the walk.  Both
+# keep flat memory (16 MB), and time grows about 3x per two orders: at 16,
+# 18 and 20, scan_unimodality takes 4.2, 14 and 45 s, and
+# scan_block_measures 8.6, 29 and 108 s (1 140 541 meanders at 20; Python
+# 3.11, shared 2-core host, one run each).
+SCAN_MAX_ORDER = 20
+
+# Largest n_max of five_block_meanders, checked before the walk.  It keeps
+# every five-block meander, about N^4 of them: at 30, 36 and 40 it takes
+# 1.6, 4.5 and 6.1 s and peaks at 76, 142 and 211 MB (770 640 meanders at
+# 40; same host).
+FIVE_BLOCK_MAX_ORDER = 40
+
 
 @dataclass(frozen=True)
 class GcdCondition:
@@ -117,8 +130,10 @@ def five_block_meanders(n_max: int) -> tuple[list[MeanderType], list[MeanderType
 
     The reverse search with a five-block budget finds them, and the index
     of each is read from its path.  Each list is sorted by order, then by
-    the number of top blocks, then top-major lexicographically.
+    the number of top blocks, then top-major lexicographically.  An n_max
+    over FIVE_BLOCK_MAX_ORDER raises PreconditionError before the walk.
     """
+    _check_budget("order", n_max, FIVE_BLOCK_MAX_ORDER, "five-block")
     frob: list[MeanderType] = []
     nonfrob: list[MeanderType] = []
     for *_, top, bottom, index in sorted(
@@ -197,7 +212,8 @@ def search_gcd_conditions(
     sample and to gcd != 1 on every non-Frobenius sample.  Sign flips of a
     whole vector and swapping the two vectors do not change the condition,
     so only canonical representatives are enumerated.  When sample_size is
-    given, each sample list is reduced to a seeded random subsample.
+    given, it must be >= 1, and each sample list is reduced to a seeded
+    random subsample of at most that many meanders.
     Workers take interleaved slices of the first vectors; the merged result
     does not depend on the worker count.  workers must be >= 1, and at
     most os.cpu_count() processes are started.  More than GCD_MAX_PAIRS
@@ -209,6 +225,8 @@ def search_gcd_conditions(
     _check_budget("pair count", vectors * (vectors + 1) // 2 - 1, GCD_MAX_PAIRS, "gcd")
     if workers < 1:
         raise PreconditionError("workers must be >= 1")
+    if sample_size is not None and sample_size < 1:
+        raise PreconditionError("sample_size must be >= 1")
     if not sample or not non_sample:
         raise PreconditionError("both sample sets must be nonempty")
     for m in sample + non_sample:
@@ -267,9 +285,11 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
 
 def _scan(kind: str, n_max: int, records) -> ScanReport:
     """Report the records(top, bottom) yields for every Frobenius meander of
-    order <= n_max, as the counterexamples of a scan of the given kind."""
+    order <= n_max, as the counterexamples of a scan of the given kind.  An
+    n_max over SCAN_MAX_ORDER raises PreconditionError before the walk."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
+    _check_budget("order", n_max, SCAN_MAX_ORDER, "scan")
     t0 = time.monotonic()
     found = []
     checked = 0

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+from meanderkit import cli, lab, lie
 from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
 from meanderkit import enumerate_meanders, index_naive, parse_type
 from meanderkit.core import WALK_MAX_ORDER
-from meanderkit.lab import GCD_MAX_PAIRS
+from meanderkit.lab import FIVE_BLOCK_MAX_ORDER, GCD_MAX_PAIRS, SCAN_MAX_ORDER
 from meanderkit.lie import ORACLE_MAX_TRIALS
+from meanderkit.spectrum import SpectrumFlags
 from meanderkit.winding import (
     ENUMERATE_MAX_ORDER,
     GENERATE_MAX_MOVES,
@@ -373,3 +375,49 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+def test_every_exit_three_is_one_consistency_line(monkeypatch):
+    # each cross-check is forced to disagree by patching one of its routes;
+    # the command ends in exit 3 with one `internal consistency failure:`
+    # line on stderr, after whatever it had already printed
+    monkeypatch.setattr(cli, "index_naive", lambda m: 7)
+    assert call("index", "6|1/2|3|2", "--verify") == (
+        3, "", "internal consistency failure: index disagreement signature=0 naive=7 refined=0\n"
+    )
+    assert call("signature", "6|1/2|3|2", "--verify", "--json") == (
+        3, "", "internal consistency failure: signature index mismatch\n"
+    )
+    monkeypatch.setattr(lie, "ad_spectrum", lambda m: {0: 1})
+    assert call("spectrum", "1|4/2|3", "--verify") == (
+        3, "", "internal consistency failure: spectrum oracle disagreement\n"
+    )
+    monkeypatch.setattr(lab, "classify", lambda dims: SpectrumFlags(False, True, True, True))
+    code, out, err = call("search", "blocks", "--n-max", "1")
+    assert (code, err) == (3, "internal consistency failure: block-measure counterexample\n")
+    report = json.loads(out)
+    assert report["counterexamples"] == [
+        {"meander": "1/1", "side": "top", "block": 1, "measures": []},
+        {"meander": "1/1", "side": "bottom", "block": 1, "measures": []},
+    ]
+    monkeypatch.setattr(lie, "cybe_residual", lambda m: False)
+    failure = "internal consistency failure: classical Yang-Baxter residual is nonzero\n"
+    assert call("oracle", "cybe", "1|2/3") == (3, "false\n", failure)
+    assert call("oracle", "cybe", "1|2/3", "--json") == (
+        3, '{"meander": "1|2/3", "cybe_zero": false}\n', failure
+    )
+
+
+def test_search_order_budgets_and_empty_subsample_exit_two():
+    huge = "100000000000000000000"
+    for sub, budget in (
+        ("unimodality", f"scan budget {SCAN_MAX_ORDER}"),
+        ("blocks", f"scan budget {SCAN_MAX_ORDER}"),
+        ("gcd", f"five-block budget {FIVE_BLOCK_MAX_ORDER}"),
+    ):
+        assert call("search", sub, "--n-max", huge) == (
+            2, "", f"error: order {huge} exceeds the {budget}\n"
+        )
+    assert call("search", "gcd", "--max-coef", "1", "--n-max", "6", "--sample-size", "0") == (
+        2, "", "error: sample_size must be >= 1\n"
+    )

@@ -112,9 +112,6 @@ def test_family_biparabolic_examples():
 def test_family_biparabolic_preconditions():
     with pytest.raises(PreconditionError):
         family_biparabolic(3, 2, 1, 1)  # odd a
-    with pytest.raises(PreconditionError):
-        family_biparabolic(2, 3, 1, 1, top_copies=5)  # inconsistent
-    assert family_biparabolic(2, 3, 1, 1, top_copies=2) == parse_type("2|2|3/5|2")
 
 
 def test_families_always_frobenius():

@@ -159,6 +159,40 @@ def test_search_gcd_reproducible_with_sampling():
     assert a.payload() == b.payload()
 
 
+def test_search_gcd_refuses_an_empty_subsample():
+    frob, nonfrob = five_block_meanders(6)
+    with pytest.raises(PreconditionError, match="sample_size must be >= 1"):
+        search_gcd_conditions(1, frob, nonfrob, sample_size=0)
+    report = search_gcd_conditions(1, frob, nonfrob, sample_size=1)
+    assert report.parameters["frobenius_samples"] == 1
+
+
+def test_scan_order_budgets(monkeypatch):
+    # each bound is checked before the walk, so an astronomical order is
+    # refused at once, and the bound itself is accepted
+    huge = 10**20
+    for scan in (scan_unimodality, scan_block_measures):
+        with pytest.raises(PreconditionError) as exc:
+            scan(huge)
+        assert str(exc.value) == f"order {huge} exceeds the scan budget {lab.SCAN_MAX_ORDER}"
+    with pytest.raises(PreconditionError) as exc:
+        five_block_meanders(huge)
+    assert str(exc.value) == (
+        f"order {huge} exceeds the five-block budget {lab.FIVE_BLOCK_MAX_ORDER}"
+    )
+    monkeypatch.setattr(lab, "SCAN_MAX_ORDER", 5)
+    monkeypatch.setattr(lab, "FIVE_BLOCK_MAX_ORDER", 7)
+    assert scan_unimodality(5).checked == scan_block_measures(5).checked == 57
+    assert list(map(len, five_block_meanders(7))) == [92, 328]
+    for call, n, budget in (
+        (scan_unimodality, 6, "scan budget 5"),
+        (scan_block_measures, 6, "scan budget 5"),
+        (five_block_meanders, 8, "five-block budget 7"),
+    ):
+        with pytest.raises(PreconditionError, match=f"^order {n} exceeds the {budget}$"):
+            call(n)
+
+
 def test_scan_unimodality_small():
     report = scan_unimodality(8)
     assert report.counterexamples == []
