@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import formulas, lab, lie, winding
 from .spectrum import spectrum as spectrum_of
-from .spectrum import spectrum_to_json
+from .spectrum import classify, spectrum_to_json
 from .core import (
     Composition,
     ConsistencyError,
@@ -247,9 +247,9 @@ def _cmd_homotopy(argv, out, err) -> int:
     )
 
 
-def _eigenvalue_line(payload: dict) -> str:
-    """The text of spectrum_to_json's eigenvalues: e:dim, ascending."""
-    return " ".join(f"{x['e']}:{x['dim']}" for x in payload["eigenvalues"])
+def _eigenvalue_line(dims: dict[int, int]) -> str:
+    """The text of a spectrum's eigenvalues: e:dim, ascending."""
+    return " ".join(f"{e}:{dims[e]}" for e in sorted(dims))
 
 
 def _cmd_spectrum(argv, out, err) -> int:
@@ -259,14 +259,13 @@ def _cmd_spectrum(argv, out, err) -> int:
     if "--verify" in args.flags:
         if lie.ad_spectrum(m) != dims:
             raise ConsistencyError("spectrum oracle disagreement")
-    payload = spectrum_to_json(dims)
-    # the shape flags follow the eigenvalues in the payload
+    # the shape flags follow the eigenvalues, in spectrum_to_json's order
     return _print(
         args, out, err,
-        lambda: _eigenvalue_line(payload) + "\n" + " ".join(
-            f"{k}={str(v).lower()}" for k, v in payload.items() if k != "eigenvalues"
+        lambda: _eigenvalue_line(dims) + "\n" + " ".join(
+            f"{k}={str(v).lower()}" for k, v in vars(classify(dims)).items()
         ),
-        lambda: payload,
+        lambda: spectrum_to_json(dims),
     )
 
 
@@ -348,8 +347,10 @@ def _cmd_oracle(argv, out, err) -> int:
         payload = {"meander": str(m), "matrix": entries}
         return _print(args, out, err, lambda: json.dumps(payload), lambda: payload)
     if sub == "spectrum":
-        payload = spectrum_to_json(lie.ad_spectrum(m))
-        return _print(args, out, err, lambda: _eigenvalue_line(payload), lambda: payload)
+        dims = lie.ad_spectrum(m)
+        return _print(
+            args, out, err, lambda: _eigenvalue_line(dims), lambda: spectrum_to_json(dims)
+        )
     ok = lie.cybe_residual(m)
     _print(
         args, out, err,

@@ -13,6 +13,16 @@ simple cycle, and the index of the meander is
 This module owns the textual format ``a1|a2|...|ak / b1|...|bm`` used by the
 whole package and the definition-level index computation that every other
 computation is checked against.
+
+``_walk`` is the one traversal of the partner arrays.  It walks each path
+once, from its end of least index (a walk from an end cannot close on
+itself), counting the paths and setting on each vertex a potential phi,
+rising by 1 along each arc (top arcs point leftward, bottom arcs
+rightward), and a root, the end it was reached from.  The vertices it
+leaves unrooted have both arcs and lie on cycles, which alternate top and
+bottom arcs; it counts those cycles with a local marker, and their
+vertices keep phi None and root 0.  The index, the components, the
+measures and the Frobenius check all read this one walk.
 """
 
 from __future__ import annotations
@@ -38,8 +48,9 @@ __all__ = [
 
 # Most vertices index_naive and build_graph walk; spectrum.SPECTRUM_MAX_DIM
 # bounds the order too.  At it (Python 3.11, shared 2-core host, peak RSS)
-# `index --verify` takes 1.0 s at 330 MB on 1|3999999/4000000, and 12 s at
-# 390 MB on 2|2|...|2/1|2|...|2|1, in parsing and 8 000 000 one-move runs.
+# `index --verify` takes 1.2 s at 510 MB on 1|3999999/4000000, whose walk
+# holds a potential per vertex, and 9-12 s at 450 MB on 2|2|...|2/1|2|...|2|1,
+# in parsing and 8 000 000 one-move runs.
 WALK_MAX_ORDER = 4_000_000
 
 # A composition is an ordered tuple of positive block sizes.  The empty tuple
@@ -200,7 +211,8 @@ def _arcs(comp: Composition) -> list[tuple[int, int, int]]:
     return [(p + d, q - d, d + 1) for p, q in _block_spans(comp) for d in range((q - p + 1) // 2)]
 
 
-def _partners(top: Composition, bottom: Composition, n: int) -> tuple[list[int], list[int]]:
+def _partners(top: Composition, bottom: Composition) -> tuple[list[int], list[int]]:
+    n = sum(top)
     tp = [0] * (n + 1)
     bp = [0] * (n + 1)
     for comp, partner in ((top, tp), (bottom, bp)):
@@ -214,50 +226,62 @@ def _partners(top: Composition, bottom: Composition, n: int) -> tuple[list[int],
     return tp, bp
 
 
-def _walk(tp: Sequence[int], bp: Sequence[int], n: int) -> tuple[int, int]:
-    """(cycles, paths) of the arc diagram given by its partner arrays."""
-    seen = bytearray(n + 1)
-    cycles = 0
+def _walk(
+    tp: Sequence[int], bp: Sequence[int]
+) -> tuple[list[int | None], list[int], int, int]:
+    """(phi, root, cycles, paths) of the arc diagram given by its partner
+    arrays, as the module docstring describes: two vertices share a path
+    exactly when their roots are equal, and phi[j] - phi[i] is then the
+    measure of (i, j).  Cycle vertices keep phi None and root 0."""
+    n = len(tp) - 1
+    phi: list[int | None] = [None] * (n + 1)
+    root = [0] * (n + 1)
     paths = 0
-    for v0 in range(1, n + 1):
-        if seen[v0]:
+    for v in range(1, n + 1):
+        if root[v] or (tp[v] and bp[v]):
             continue
-        seen[v0] = 1
-        # Walk away from v0 in both directions; a component is a cycle
-        # exactly when the walk returns to v0.
-        is_cycle = False
-        for start in (tp[v0], bp[v0]):
-            if is_cycle or not start or seen[start]:
+        paths += 1
+        phi[v] = f = 0
+        root[v] = v
+        prev, cur = 0, v
+        while True:
+            nxt = tp[cur]
+            if nxt and nxt != prev:
+                f += 1 if nxt < cur else -1
+            else:
+                nxt = bp[cur]
+                if not nxt or nxt == prev:
+                    break
+                f += 1 if nxt > cur else -1
+            phi[nxt] = f
+            root[nxt] = v
+            prev, cur = cur, nxt
+    # Every vertex left unrooted lies on a cycle, which alternates top and
+    # bottom arcs; each is counted at its least vertex and marked whole.
+    # root[0] is a padding 0, so a count of 1 means no cycle.
+    cycles = 0
+    if root.count(0) > 1:
+        seen = bytearray(n + 1)
+        for v in range(1, n + 1):
+            if root[v] or seen[v]:
                 continue
-            prev = v0
-            cur = start
-            while True:
-                seen[cur] = 1
-                nxt = tp[cur] if tp[cur] != prev else bp[cur]
-                if not nxt:
-                    break
-                if nxt == v0:
-                    is_cycle = True
-                    break
-                prev, cur = cur, nxt
-        if is_cycle:
             cycles += 1
-        else:
-            paths += 1
-    return cycles, paths
+            cur = v
+            while not seen[cur]:
+                seen[cur] = seen[tp[cur]] = 1
+                cur = bp[tp[cur]]
+    return phi, root, cycles, paths
 
 
 def _index(top: Composition, bottom: Composition) -> int:
-    n = sum(top)
-    tp, bp = _partners(top, bottom, n)
-    cycles, paths = _walk(tp, bp, n)
+    _, _, cycles, paths = _walk(*_partners(top, bottom))
     return 2 * cycles + paths - 1
 
 
 def build_graph(m: MeanderType) -> MeanderGraph:
     """Arc diagram of m per the block construction, within WALK_MAX_ORDER."""
     _check_budget("order", m.n, WALK_MAX_ORDER, "walk")
-    tp, bp = _partners(m.top, m.bottom, m.n)
+    tp, bp = _partners(m.top, m.bottom)
     return MeanderGraph(m.n, tuple(tp), tuple(bp))
 
 
@@ -267,7 +291,7 @@ def components(g: MeanderGraph) -> ComponentSummary:
     A component is a cycle when every vertex in it has both arcs; anything
     else, including an isolated vertex, is a path.
     """
-    return ComponentSummary(*_walk(g.top_partner, g.bottom_partner, g.n))
+    return ComponentSummary(*_walk(g.top_partner, g.bottom_partner)[2:])
 
 
 def index_naive(m: MeanderType) -> int:

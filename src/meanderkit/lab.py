@@ -45,8 +45,10 @@ from .core import (
     _check_budget,
     _index,
     _parse_uint,
+    _partners,
+    _walk,
 )
-from .spectrum import _count_block, _elements, _potentials, _spectrum_raw, classify
+from .spectrum import _count_block, _elements, _spectrum_raw, classify
 from .winding import _meander_tree
 
 __all__ = [
@@ -314,7 +316,7 @@ def scan_unimodality(n_max: int) -> ScanReport:
     """
 
     def records(top: Composition, bottom: Composition):
-        dims = _spectrum_raw(_potentials(top, bottom)[0], top, bottom)
+        dims = _spectrum_raw(_walk(*_partners(top, bottom))[0], top, bottom)
         flags = classify(dims)
         if not (flags.symmetric and flags.unbroken):
             raise AssertionError(
@@ -340,7 +342,7 @@ def scan_block_measures(n_max: int) -> ScanReport:
     """
 
     def records(top: Composition, bottom: Composition):
-        phi, _ = _potentials(top, bottom)
+        phi = _walk(*_partners(top, bottom))[0]
         for side, comp in (("top", top), ("bottom", bottom)):
             for k, (p, q) in enumerate(_block_spans(comp), start=1):
                 dims = _count_block(phi, p, q, side == "top", {})

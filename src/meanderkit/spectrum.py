@@ -16,12 +16,14 @@ multiset of measures over all admissible pairs, with the multiplicity of 0
 reduced by one, is the spectrum of the adjoint of the principal element of
 the corresponding seaweed subalgebra of sl(n).
 
-Measures are read off potentials: each path is walked once, from one of
-its ends, and every vertex on it gets a potential phi that rises by 1 along
-each oriented arc, so the measure of (i, j) is phi(j) - phi(i).  Cycles
-have no end and are never walked; their vertices get no potential.  The
-index is 2 * cycles + paths - 1, so Frobenius means no cycle and one path:
-every vertex rooted, with one root.  So the walk is the Frobenius check.
+Measures are read off potentials, which core._walk sets in its one walk
+over the partner arrays: every vertex of a path gets a potential phi that
+rises by 1 along each oriented arc, so the measure of (i, j) is
+phi(j) - phi(i), and root, the end its path was walked from, so i and j
+share a path exactly when their roots are equal.  Cycle vertices keep phi
+None and root 0.  The same walk counts cycles and paths, and the index is
+2 * cycles + paths - 1, so the Frobenius check reads it off the walk that
+gave the potentials; this module walks nothing itself.
 
 The spectrum is the multiset union of the block measures: the measures of
 the strict pairs of each block plus floor(size/2) zeros.  For index 0 the
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from .core import (
     WALK_MAX_ORDER,
     Composition,
-    ConsistencyError,
     MeanderType,
     NotFrobeniusError,
     PreconditionError,
@@ -45,7 +46,7 @@ from .core import (
     _check_budget,
     _check_dim,
     _partners,
-    index_naive,
+    _walk,
 )
 
 __all__ = [
@@ -64,7 +65,7 @@ Spectrum = dict[int, int]
 
 # Most admissible pairs (the seaweed dimension, at least the order) that
 # spectrum and block_measures accept; above it they raise PreconditionError
-# before the potentials walk, the Frobenius check, allocates per vertex.  At
+# before the walk of the Frobenius check allocates per vertex.  At
 # it (Python 3.11, shared 2-core host, peak RSS), spectrum of 1154|1155/2309
 # takes 0.6 s at 16 MB, and of 2|...|2/1|2|...|2|1 of order 2e6 3.5-3.8 s at 215 MB.
 SPECTRUM_MAX_DIM = 4_000_000
@@ -92,54 +93,14 @@ def admissible_pairs(m: MeanderType) -> list[tuple[int, int]]:
     return out
 
 
-def _potentials(top: Composition, bottom: Composition) -> tuple[list[int | None], list[int]]:
-    """Per-vertex potential phi with phi(head) = phi(tail) + 1 along each arc.
-
-    Returns (phi, root) where phi[v] is the potential within v's path and
-    root[v] is the end of that path the walk started from, so two vertices
-    share a path exactly when their roots are equal.  Each path is walked
-    once, from its end of least index; a walk from an end cannot close on
-    itself.  Cycles have no end and are never walked: their vertices keep
-    phi None and root 0.
-    """
-    n = sum(top)
-    tp, bp = _partners(top, bottom, n)
-    phi: list[int | None] = [None] * (n + 1)
-    root = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if root[v] or (tp[v] and bp[v]):
-            continue
-        phi[v] = f = 0
-        root[v] = v
-        prev, cur = 0, v
-        while True:
-            nxt = tp[cur]
-            if nxt and nxt != prev:
-                # top arcs point leftward
-                f += 1 if nxt < cur else -1
-            else:
-                nxt = bp[cur]
-                if not nxt or nxt == prev:
-                    break
-                # bottom arcs point rightward
-                f += 1 if nxt > cur else -1
-            phi[nxt] = f
-            root[nxt] = v
-            prev, cur = cur, nxt
-    return phi, root
-
-
 def _require_frobenius(m: MeanderType) -> list[int | None]:
-    """phi of m, from one walk, if m is Frobenius; else NotFrobeniusError
-    with index_naive(m), run only then.  Callers check a dimension budget."""
-    phi, root = _potentials(m.top, m.bottom)
-    # root[0] is a padding 0, counted too if a cycle runs through vertex n
-    if root[-1] and root.count(root[-1]) == m.n:
-        return phi
-    ix = index_naive(m)
-    if ix == 0:
-        raise ConsistencyError(f"the potentials walk refused {m}, of index 0")
-    raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+    """phi of m if m is Frobenius, else NotFrobeniusError with the index,
+    both from one walk.  Callers check a dimension budget."""
+    phi, _, cycles, paths = _walk(*_partners(m.top, m.bottom))
+    ix = 2 * cycles + paths - 1
+    if ix:
+        raise NotFrobeniusError(f"not Frobenius (index {ix})", ix)
+    return phi
 
 
 def measure(m: MeanderType, i: int, j: int) -> int:
@@ -147,14 +108,14 @@ def measure(m: MeanderType, i: int, j: int) -> int:
 
     Raises PreconditionError when the vertices live in different components
     or their component is a cycle (no unique route).  Each call costs O(n):
-    it builds the partner arrays and walks every path of the meander, so
-    an order over core.WALK_MAX_ORDER raises PreconditionError first.
+    it builds the partner arrays and walks every component, so an order
+    over core.WALK_MAX_ORDER raises PreconditionError first.
     """
     n = m.n
     _check_budget("order", n, WALK_MAX_ORDER, "walk")
     if not (1 <= i <= n and 1 <= j <= n):
         raise PreconditionError(f"vertex out of range 1..{n}: ({i}, {j})")
-    phi, root = _potentials(m.top, m.bottom)
+    phi, root, _, _ = _walk(*_partners(m.top, m.bottom))
     if not (root[i] and root[j]):
         raise PreconditionError("measure undefined on a cycle component")
     if root[i] != root[j]:
@@ -251,12 +212,6 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
 
 
 def spectrum_to_json(s: Spectrum) -> dict:
-    """The documented JSON shape: sorted eigenvalues plus the shape flags."""
-    flags = classify(s)
-    return {
-        "eigenvalues": [{"e": e, "dim": s[e]} for e in sorted(s)],
-        "symmetric": flags.symmetric,
-        "unbroken": flags.unbroken,
-        "unimodal": flags.unimodal,
-        "strictly_unimodal": flags.strictly_unimodal,
-    }
+    """The documented JSON shape: sorted eigenvalues, then the shape flags
+    in SpectrumFlags field order."""
+    return {"eigenvalues": [{"e": e, "dim": s[e]} for e in sorted(s)], **vars(classify(s))}

@@ -39,8 +39,8 @@ from meanderkit import (
     step_refined_full,
     wind_up,
 )
-from meanderkit.core import _compositions, _index
-from meanderkit.spectrum import _potentials, _spectrum_raw
+from meanderkit.core import _compositions, _index, _partners, _walk
+from meanderkit.spectrum import _spectrum_raw
 
 from conftest import brute_pairs, random_meander
 
@@ -116,7 +116,7 @@ def test_criterion_06_spectrum_shape_exhaustive():
                     continue
                 frobenius_count += 1
                 m = MeanderType(top, bottom)
-                flags = classify(_spectrum_raw(_potentials(top, bottom)[0], top, bottom))
+                flags = classify(_spectrum_raw(_walk(*_partners(top, bottom))[0], top, bottom))
                 assert flags.symmetric and flags.unbroken, f"spectrum shape fails at {m}"
                 for side, comp in (("top", top), ("bottom", bottom)):
                     for k in range(1, len(comp) + 1):

@@ -4,8 +4,10 @@ Dropping or renaming a public name is an API change: it must show up here
 as an edited list, not pass unnoticed.
 """
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +180,36 @@ def test_package_names_are_pinned():
         if not n.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PACKAGE_NAMES
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; __future__ imports aside."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_flagged():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, re\n"
+        "from .core import a, b as c\n"
+        "re.x(c)\n"
+    )
+    assert _unused_imports(source) == ["a", "os"]
+
+
+# the package __init__ imports only to re-export, so it is left out
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(meanderkit.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda path: path.name,
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

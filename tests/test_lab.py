@@ -210,15 +210,16 @@ def test_scan_block_measures_reports_a_broken_block(monkeypatch):
     # lowering phi(1) of 1|2/3 by 2 leaves its top blocks symmetric and
     # unbroken but turns the bottom block's measures 4, 3, -1 and one 0
     # into a counterexample, reported with its measures sorted
-    real = lab._potentials
+    real = lab._walk
+    partners = lab._partners((1, 2), (3,))
 
-    def skewed(top, bottom):
-        phi, root = real(top, bottom)
-        if (top, bottom) == ((1, 2), (3,)):
+    def skewed(tp, bp):
+        phi, root, cycles, paths = real(tp, bp)
+        if (tp, bp) == partners:
             phi[1] -= 2
-        return phi, root
+        return phi, root, cycles, paths
 
-    monkeypatch.setattr(lab, "_potentials", skewed)
+    monkeypatch.setattr(lab, "_walk", skewed)
     report = scan_block_measures(4)
     assert report.counterexamples == [
         {"meander": "1|2/3", "side": "bottom", "block": 1, "measures": [-1, 0, 3, 4]}

@@ -1,10 +1,10 @@
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
 from meanderkit import (
-    ConsistencyError,
     MeanderType,
     ad_spectrum,
     NotFrobeniusError,
@@ -21,10 +21,11 @@ from meanderkit import (
     spectrum,
     spectrum_to_json,
 )
-from meanderkit.core import WALK_MAX_ORDER, _block_spans
-from meanderkit.spectrum import _potentials, _require_frobenius
+from meanderkit.core import WALK_MAX_ORDER, _block_spans, _partners, _walk
+from meanderkit.spectrum import _require_frobenius
+from meanderkit.winding import _parameters
 
-from conftest import brute_pairs
+from conftest import brute_pairs, random_meander
 
 
 def test_admissible_pair_counts():
@@ -210,38 +211,69 @@ def _arcs(top, bottom):
     return out
 
 
+def _reference_walk(top, bottom):
+    """(phi, root, cycles, paths) by union-find and a search from each path
+    end: a component with as many arcs as vertices is a cycle, and a path
+    is rooted at its end of least index."""
+    n = sum(top)
+    arcs = _arcs(top, bottom)
+    parent = list(range(n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    steps = {v: [] for v in range(1, n + 1)}
+    for u, v in arcs:
+        parent[find(u)] = find(v)
+        steps[u].append((v, 1))
+        steps[v].append((u, -1))
+    members = {}
+    for v in range(1, n + 1):
+        members.setdefault(find(v), []).append(v)
+    arcs_in = Counter(find(u) for u, _ in arcs)
+    phi = [None] * (n + 1)
+    root = [0] * (n + 1)
+    cycles = 0
+    for r, vs in members.items():
+        if arcs_in[r] == len(vs):
+            cycles += 1
+            continue
+        end = min(v for v in vs if len(steps[v]) < 2)
+        phi[end], root[end] = 0, end
+        stack = [end]
+        while stack:
+            u = stack.pop()
+            for v, d in steps[u]:
+                if not root[v]:
+                    phi[v], root[v] = phi[u] + d, end
+                    stack.append(v)
+    return phi, root, cycles, len(members) - cycles
+
+
 def test_potentials_follow_paths():
-    for n in range(1, 9):
-        for m in enumerate_meanders(n):
-            arcs = _arcs(m.top, m.bottom)
-            parent = list(range(n + 1))
+    rng = random.Random(20)
+    meanders = [MeanderType((), ())]
+    meanders += [MeanderType((c,), (c,)) for c in range(1, 13)]
+    meanders += [m for n in range(1, 9) for m in enumerate_meanders(n)]
+    meanders += [random_meander(rng, 40) for _ in range(500)]
+    for m in meanders:
+        assert _walk(*_partners(m.top, m.bottom)) == _reference_walk(m.top, m.bottom), m
 
-            def find(v):
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                return v
 
-            for u, v in arcs:
-                parent[find(u)] = find(v)
-            # a component with as many arcs as vertices is a cycle
-            size = {}
-            arcs_in = {}
-            for v in range(1, n + 1):
-                size[find(v)] = size.get(find(v), 0) + 1
-            for u, _ in arcs:
-                arcs_in[find(u)] = arcs_in.get(find(u), 0) + 1
-            cycle = {r for r in size if arcs_in.get(r, 0) == size[r]}
-            phi, root = _potentials(m.top, m.bottom)
-            for v in range(1, n + 1):
-                on_cycle = find(v) in cycle
-                assert (root[v] == 0) == on_cycle and (phi[v] is None) == on_cycle
-                for w in range(1, n + 1):
-                    if not on_cycle:
-                        assert (root[v] == root[w]) == (find(v) == find(w))
-            for u, v in arcs:
-                if find(u) not in cycle:
-                    assert phi[v] == phi[u] + 1
+def test_frobenius_gate_matches_the_signature_route():
+    # the winding-down parameters sum to the index plus one, by a route
+    # that builds no partner arrays (the empty meander has no signature)
+    for m in (m for n in range(1, 9) for m in enumerate_meanders(n)):
+        total = sum(_parameters(m))
+        if total == 1:
+            assert _require_frobenius(m) == _walk(*_partners(m.top, m.bottom))[0]
+        else:
+            with pytest.raises(NotFrobeniusError) as exc:
+                _require_frobenius(m)
+            assert exc.value.index == total - 1
 
 
 def test_frobenius_gate_shared_by_four_routes():
@@ -278,7 +310,7 @@ def test_frobenius_gate_matches_the_brute_index():
     for top, bottom, ix in brute_pairs(8):
         m = MeanderType(top, bottom)
         if ix == 0:
-            assert _require_frobenius(m) == _potentials(top, bottom)[0]
+            assert _require_frobenius(m) == _walk(*_partners(top, bottom))[0]
         else:
             with pytest.raises(NotFrobeniusError) as exc:
                 _require_frobenius(m)
@@ -287,6 +319,7 @@ def test_frobenius_gate_matches_the_brute_index():
 
 def test_frobenius_gate_is_the_one_walk(monkeypatch):
     module = importlib.import_module("meanderkit.spectrum")
+    core = importlib.import_module("meanderkit.core")
     calls = []
     real_partners = module._partners
 
@@ -294,11 +327,15 @@ def test_frobenius_gate_is_the_one_walk(monkeypatch):
         calls.append(args)
         return real_partners(*args)
 
-    def no_index(m):
-        raise AssertionError(f"index_naive ran on {m}")
+    def second_walk(*args):
+        raise AssertionError(f"a second index walk ran on {args}")
 
+    # the gate reads the index off its own walk: spectrum imports no
+    # other index route, and core's would fail if reached
+    assert not hasattr(module, "index_naive") and not hasattr(module, "_index")
     monkeypatch.setattr(module, "_partners", partners)
-    monkeypatch.setattr(module, "index_naive", no_index)
+    monkeypatch.setattr(core, "index_naive", second_walk)
+    monkeypatch.setattr(core, "_index", second_walk)
     goldens = [
         (lambda: spectrum(parse_type("1|4/2|3")), {-2: 1, -1: 2, 0: 4, 1: 4, 2: 2, 3: 1}),
         (lambda: spectrum(parse_type("1/1")), {}),
@@ -311,19 +348,13 @@ def test_frobenius_gate_is_the_one_walk(monkeypatch):
         calls.clear()
         assert route() == golden
         assert len(calls) == 1
-    # the failure path still names the exact index
-    monkeypatch.setattr(module, "index_naive", index_naive)
+    # the failure path builds the arrays once too and names the exact index
     for text, ix in (("3/3", 2), ("2|1/2|1", 2), ("5/5", 4), ("1|2/1|2", 2)):
         for route in (spectrum, lambda m: block_measures(m, "top", 1)):
+            calls.clear()
             with pytest.raises(NotFrobeniusError, match=rf"^not Frobenius \(index {ix}\)$"):
                 route(parse_type(text))
-
-
-def test_frobenius_gate_raises_consistency_error_on_disagreement(monkeypatch):
-    module = importlib.import_module("meanderkit.spectrum")
-    monkeypatch.setattr(module, "index_naive", lambda m: 0)
-    with pytest.raises(ConsistencyError, match="potentials walk refused 3/3"):
-        spectrum(parse_type("3/3"))
+            assert len(calls) == 1
 
 
 def test_spectrum_budget_comes_first(monkeypatch):
