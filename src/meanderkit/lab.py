@@ -21,6 +21,16 @@ alone, and five_block_meanders, which feeds the gcd search, its five-block
 slice.  So each costs in proportion to the meanders it checks rather than
 to all 4^(n-1) pairs of order n.
 
+The two Frobenius scans are incremental along that tree.  A non-flip
+up-move replaces only the first blocks of its parent and makes block 1 of
+each side, and every other block keeps its measures (see the spectrum
+module docstring), while a flip keeps the blocks and swaps their sides.
+So _scan keeps the current root-to-meander path, one entry per depth, and
+scan_unimodality grows each spectrum from its parent's, measuring only
+the replaced and the made blocks, and scan_block_measures checks each
+block once, at the meander that makes it.  The tests keep the whole-
+meander scans as the slow routes.
+
 All scans are exhaustive over their stated range and produce reports that
 are reproducible bit for bit given the same parameters (wall-clock time is
 carried separately and excluded from comparisons).
@@ -33,7 +43,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 from .core import (
@@ -41,14 +51,13 @@ from .core import (
     MeanderType,
     ParseError,
     PreconditionError,
-    _block_spans,
     _check_budget,
     _index,
     _parse_uint,
     _partners,
     _walk,
 )
-from .spectrum import _count_block, _elements, _spectrum_raw, classify
+from .spectrum import SpectrumFlags, _count_block, _elements, classify
 from .winding import _meander_tree
 
 __all__ = [
@@ -68,11 +77,12 @@ __all__ = [
 # takes about 2 h at n_max 18, and max_coef 6 (1.7e10 pairs) is refused.
 GCD_MAX_PAIRS = 4_000_000_000
 
-# Largest n_max of the two Frobenius scans, checked before the walk.  Both
-# keep flat memory (16 MB), and time grows about 3x per two orders: at 16,
-# 18 and 20, scan_unimodality takes 4.2, 14 and 45 s, and
-# scan_block_measures 8.6, 29 and 108 s (1 140 541 meanders at 20; Python
-# 3.11, shared 2-core host, one run each).
+# Largest n_max of the two Frobenius scans, checked before the walk.  Time
+# grows about 3x per two orders: at 16, 18 and 20, scan_unimodality takes
+# 1.4, 5.2 and 15 s, and scan_block_measures 0.9, 3.4 and 11 s (1 140 541
+# meanders at 20; Python 3.11, shared 2-core host, one run each).  The
+# block scan keeps flat memory (17 MB); the unimodality scan remembers the
+# flags of each distinct spectrum and peaks at 21, 27 and 41 MB.
 SCAN_MAX_ORDER = 20
 
 # Largest n_max of five_block_meanders, checked before the walk.  It keeps
@@ -140,7 +150,7 @@ def five_block_meanders(n_max: int) -> tuple[list[MeanderType], list[MeanderType
     nonfrob: list[MeanderType] = []
     for *_, top, bottom, index in sorted(
         (sum(top), len(top), top, bottom, index)
-        for top, bottom, index in _meander_tree(n_max, n_max, 5)
+        for top, bottom, index, _ in _meander_tree(n_max, n_max, 5)
         if len(top) + len(bottom) == 5
     ):
         (frob if index == 0 else nonfrob).append(MeanderType(top, bottom))
@@ -285,19 +295,94 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
     return [record for _, _, record in found]
 
 
-def _scan(kind: str, n_max: int, records) -> ScanReport:
-    """Report the records(top, bottom) yields for every Frobenius meander of
-    order <= n_max, as the counterexamples of a scan of the given kind.  An
-    n_max over SCAN_MAX_ORDER raises PreconditionError before the walk."""
+# The empty meander as a node of the walk: no blocks, and a phi of order 0.
+_EMPTY = ((), (), [None])
+
+
+def _made(up: tuple, node: tuple) -> list:
+    """The blocks that the up-move from up to its child node makes, as
+    (phi, p, q, top) arguments of _count_block, each node a (top, bottom,
+    phi) triple of the index-0 slice.  A non-flip up-move makes block 1 of
+    each side; every other block of the child keeps the measures it had in
+    up (see the spectrum module docstring).  A flip, the child whose top
+    is the bottom of up, swaps the sides of the same blocks and makes
+    none."""
+    top, bottom, phi = node
+    if top == up[1]:
+        return []
+    return [(phi, 1, top[0], True), (phi, 1, bottom[0], False)]
+
+
+def _gone(up: tuple, node: tuple) -> list:
+    """The blocks of up that the non-flip up-move to its child node
+    replaces, as _made gives them but with the phi of up: top block 1, and
+    top block 2 too if the move is ~P0, which merges them, or bottom block
+    1 too if it is ~R0, which keeps the number of bottom blocks.  1/1, the
+    child of the empty meander, replaces none."""
+    up_top, up_bottom, up_phi = up
+    if not up_top:
+        return []
+    a1 = up_top[0]
+    gone = [(up_phi, 1, a1, True)]
+    if len(node[0]) < len(up_top):
+        gone.append((up_phi, a1 + 1, a1 + up_top[1], True))
+    elif len(node[1]) == len(up_bottom):
+        gone.append((up_phi, 1, up_bottom[0], False))
+    return gone
+
+
+def _grow(dims: dict, up: tuple, node: tuple) -> dict:
+    """The spectrum of node from dims, that of its parent up: dims itself
+    at a flip, which makes no blocks, else a copy less the measures of the
+    blocks _gone plus those of the blocks _made."""
+    made = _made(up, node)
+    if not made:
+        return dims
+    lost: dict = {}
+    for block in _gone(up, node):
+        _count_block(*block, lost)
+    dims = dict(dims)
+    for block in made:
+        _count_block(*block, dims)
+    for e, c in lost.items():
+        c = dims[e] - c
+        if c:
+            dims[e] = c
+        else:
+            del dims[e]
+    return dims
+
+
+def _scan(kind: str, n_max: int, visit) -> ScanReport:
+    """Report the records of visit(up, state, node) for every Frobenius
+    meander of order <= n_max, as the counterexamples of a scan of the
+    given kind.  The walk keeps the current tree path, one (node, state)
+    per depth: node is (top, bottom, phi), up is the node of the parent,
+    and state is what visit returned there, or at the empty meander its
+    spectrum {}; visit returns (state, records).  phi comes from one walk of the
+    meander, except at a flip: that walks the path of its parent with
+    every arc reversed, so it negates each potential.  An n_max over
+    SCAN_MAX_ORDER raises PreconditionError before the walk."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     _check_budget("order", n_max, SCAN_MAX_ORDER, "scan")
     t0 = time.monotonic()
     found = []
     checked = 0
-    for top, bottom, _ in _meander_tree(n_max, 0, 2 * n_max):
+    path: list = [(_EMPTY, {})]
+    for top, bottom, _, depth in _meander_tree(n_max, 0, 2 * n_max):
         checked += 1
-        found.extend((top, bottom, record) for record in records(top, bottom))
+        del path[depth:]
+        up, state = path[-1]
+        if top == up[1]:
+            phi = [None] + [-f for f in islice(up[2], 1, None)]
+        else:
+            phi = _walk(*_partners(top, bottom))[0]
+        node = (top, bottom, phi)
+        state, records = visit(up, state, node)
+        path.append((node, state))
+        if records:
+            found.extend((top, bottom, record) for record in records)
     return ScanReport(
         kind=kind,
         parameters={"n_max": n_max},
@@ -307,55 +392,80 @@ def _scan(kind: str, n_max: int, records) -> ScanReport:
     )
 
 
+def _classifier():
+    """classify, remembering the flags of each multiset it has seen: a scan
+    meets few distinct ones.  To order 16 the 104 971 Frobenius meanders
+    have 3 310 spectra, and the 104 972 blocks made 187 measure multisets."""
+    seen: dict = {}
+
+    def flags(dims: dict) -> SpectrumFlags:
+        key = frozenset(dims.items())
+        found = seen.get(key)
+        if found is None:
+            found = seen[key] = classify(dims)
+        return found
+
+    return flags
+
+
 def scan_unimodality(n_max: int) -> ScanReport:
     """Spectra of all Frobenius meanders with order <= n_max, shape-checked.
 
-    Counterexamples to unimodality or strict unimodality are collected in
-    the report; symmetry or unbrokenness failures are impossible for correct
-    code and therefore raise.
+    Each spectrum is grown from its parent's along the tree, measuring only
+    the blocks the up-move replaced and made; a flip has the spectrum of
+    its parent.  Counterexamples to unimodality or strict unimodality are
+    collected in the report; symmetry or unbrokenness failures are
+    impossible for correct code and therefore raise.
     """
+    shape = _classifier()
 
-    def records(top: Composition, bottom: Composition):
-        dims = _spectrum_raw(_walk(*_partners(top, bottom))[0], top, bottom)
-        flags = classify(dims)
+    def visit(up: tuple, dims: dict, node: tuple):
+        dims = _grow(dims, up, node)
+        flags = shape(dims)
+        top, bottom, _ = node
         if not (flags.symmetric and flags.unbroken):
             raise AssertionError(
                 f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
             )
-        if not (flags.unimodal and flags.strictly_unimodal):
-            yield {
-                "meander": str(MeanderType(top, bottom)),
-                "spectrum": {str(e): d for e, d in sorted(dims.items())},
-                "unimodal": flags.unimodal,
-                "strictly_unimodal": flags.strictly_unimodal,
-            }
+        if flags.unimodal and flags.strictly_unimodal:
+            return dims, ()
+        return dims, [{
+            "meander": str(MeanderType(top, bottom)),
+            "spectrum": {str(e): d for e, d in sorted(dims.items())},
+            "unimodal": flags.unimodal,
+            "strictly_unimodal": flags.strictly_unimodal,
+        }]
 
-    return _scan("unimodality", n_max, records)
+    return _scan("unimodality", n_max, visit)
 
 
 def scan_block_measures(n_max: int) -> ScanReport:
     """Per-block measures of all Frobenius meanders with order <= n_max.
 
     Each block's multiset must be unbroken and symmetric about one half.
+    Every block is checked once, as block 1 of the meander whose up-move
+    makes it; its descendants keep its measures, and a flip makes none.
     This is a proven fact; the report is expected empty and the caller may
     treat any counterexample as fatal.
     """
+    shape = _classifier()
 
-    def records(top: Composition, bottom: Composition):
-        phi = _walk(*_partners(top, bottom))[0]
-        for side, comp in (("top", top), ("bottom", bottom)):
-            for k, (p, q) in enumerate(_block_spans(comp), start=1):
-                dims = _count_block(phi, p, q, side == "top", {})
-                flags = classify(dims)
-                if not (flags.symmetric and flags.unbroken):
-                    yield {
-                        "meander": str(MeanderType(top, bottom)),
-                        "side": side,
-                        "block": k,
-                        "measures": list(_elements(dims)),
-                    }
+    def visit(up: tuple, _, node: tuple):
+        top, bottom, _ = node
+        records = []
+        for phi, p, q, is_top in _made(up, node):
+            dims = _count_block(phi, p, q, is_top, {})
+            flags = shape(dims)
+            if not (flags.symmetric and flags.unbroken):
+                records.append({
+                    "meander": str(MeanderType(top, bottom)),
+                    "side": "top" if is_top else "bottom",
+                    "block": 1,
+                    "measures": list(_elements(dims)),
+                })
+        return None, records
 
-    return _scan("block-measures", n_max, records)
+    return _scan("block-measures", n_max, visit)
 
 
 _CONFIG_KEYS = ("max_coef", "n_max", "sample_size", "seed")

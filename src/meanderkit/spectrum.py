@@ -30,6 +30,42 @@ the strict pairs of each block plus floor(size/2) zeros.  For index 0 the
 graph has no cycle and one path, so exactly n - 1 arcs; a block of size k
 holds floor(k/2) of them, so the block zeros sum to n - 1, which is the n
 diagonal pairs less the one zero the spectrum drops.
+
+Along the tree of Frobenius meanders that winding._meander_tree walks, a
+child's spectrum is therefore its parent's less the measures of the
+blocks the up-move replaces plus those of the blocks it makes, block 1 of
+each side; every other block keeps its measures.  Let the parent have top
+blocks A1, A2, ... and bottom blocks B1, B2, ...; a non-flip up-move puts
+d new vertices in front, and old vertex v becomes v + d.  A kept block
+keeps its arcs, shifted, and its measures when its vertices keep their
+potential differences.  They do when every excursion of the path through
+the replaced blocks, from one vertex of a kept arc to the next, keeps its
+ends and its net orientation, forward less backward arcs.  An arc that
+points as it did counts as it did.
+
+* ~B0 gives (2a1, ...)/(a1, b1, ...), d = a1, and replaces A1.  The arc
+  of A1 from u to a1 + 1 - u becomes the path u + d, a1 + 1 - u, u,
+  2a1 + 1 - u, over a top, a bottom and a top arc: the first counts +1,
+  the last -1, and the middle one points as the old arc did.  An odd
+  A1's centre gains a new end.  So every old vertex keeps its potential
+  differences.
+* ~P0 gives (a1 + 2a2, ...)/(a2, b1, ...), d = a2, and merges A1 and A2.
+  The arcs of A1 are arcs of the merged block, and those of A2 become
+  three-arc paths as under ~B0.  Every old vertex keeps its differences.
+* ~R0 gives (2a1 - b1, ...)/(a1, b2, ...), d = a1 - b1, and replaces A1
+  and B1.  An excursion enters at x0 = u in b1 + 1..a1 and alternates
+  the arcs of A1 and B1 through x(2k) = u - kd and x(2k+1) = a1 + 1 - u
+  + kd, leaving at the first x(2m+1) > b1.  In the child it visits x0, a
+  new vertex, then x2, x1, x4, x3, ..., x(2m), x(2m-1), then a new vertex
+  and x(2m+1).  Its bottom arcs point as the parent's top arcs did, its
+  inner top arcs as the parent's bottom arcs did, and its first and last
+  arcs count +1 and -1.  Dead ends, at the centre of a block, fall at
+  the same step.  So the vertices after B1, which hold every kept block,
+  keep their differences; those of B1, only in replaced blocks, need not.
+* ~F0 swaps the sides of every arc, so it negates every potential and
+  walks the path from the same end.  A top block read right to left
+  becomes a bottom block read left to right, so each block keeps its
+  measures on the other side, and the spectrum is the parent's.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 from functools import lru_cache
 
 import pytest
@@ -19,9 +20,22 @@ from meanderkit import (
     search_gcd_conditions,
 )
 from meanderkit import lab
-from meanderkit.core import MeanderType, _compositions, _index
-from meanderkit.lab import _canonical_vectors, _in_scan_order, _scan_slice, _size_vectors
-from meanderkit.winding import _meander_tree, is_frobenius, signature_simplified
+from meanderkit.core import MeanderType, _block_spans, _compositions, _index, _partners, _walk
+from meanderkit.lab import (
+    ScanReport,
+    _canonical_vectors,
+    _in_scan_order,
+    _scan_slice,
+    _size_vectors,
+)
+from meanderkit.spectrum import _count_block, _elements, _spectrum_raw, classify
+from meanderkit.winding import (
+    UpMove,
+    _meander_tree,
+    apply_up_move,
+    is_frobenius,
+    signature_simplified,
+)
 
 from conftest import brute_pairs, compositions
 
@@ -207,24 +221,180 @@ def test_scan_block_measures_small():
 
 
 def test_scan_block_measures_reports_a_broken_block(monkeypatch):
-    # lowering phi(1) of 1|2/3 by 2 leaves its top blocks symmetric and
-    # unbroken but turns the bottom block's measures 4, 3, -1 and one 0
-    # into a counterexample, reported with its measures sorted
+    # the scan measures each block once, at the meander whose up-move makes
+    # it: the bottom block 3 of 1|2/3 is top block 1 of 3/1|2, and 1|2/3 is
+    # the flip child of 3/1|2, which the scan does not measure again.  So
+    # the skew goes into the walk of 3/1|2: raising phi(1) by 2 turns the
+    # measures -1, 0, 1, 2 of that block into -1, 0, 3, 4, a counterexample
+    # reported with its measures sorted
     real = lab._walk
-    partners = lab._partners((1, 2), (3,))
+    partners = lab._partners((3,), (1, 2))
 
     def skewed(tp, bp):
         phi, root, cycles, paths = real(tp, bp)
         if (tp, bp) == partners:
-            phi[1] -= 2
+            phi[1] += 2
         return phi, root, cycles, paths
 
     monkeypatch.setattr(lab, "_walk", skewed)
     report = scan_block_measures(4)
     assert report.counterexamples == [
-        {"meander": "1|2/3", "side": "bottom", "block": 1, "measures": [-1, 0, 3, 4]}
+        {"meander": "3/1|2", "side": "top", "block": 1, "measures": [-1, 0, 3, 4]}
     ]
     assert report.checked == 23
+
+
+def _slow_scan(kind, n_max, records):
+    """The slow route of a scan: records(top, bottom) of every Frobenius
+    meander, each measured whole from a walk of its own."""
+    found = []
+    checked = 0
+    for top, bottom, *_ in _meander_tree(n_max, 0, 2 * n_max):
+        checked += 1
+        found.extend((top, bottom, record) for record in records(top, bottom))
+    return ScanReport(
+        kind, {"n_max": n_max}, counterexamples=_in_scan_order(found), checked=checked
+    )
+
+
+def _slow_unimodality(top, bottom):
+    """The whole spectrum of one meander, classified."""
+    dims = _spectrum_raw(_walk(*_partners(top, bottom))[0], top, bottom)
+    flags = classify(dims)
+    assert flags.symmetric and flags.unbroken, (top, bottom, dims)
+    if not (flags.unimodal and flags.strictly_unimodal):
+        yield {
+            "meander": str(MeanderType(top, bottom)),
+            "spectrum": {str(e): d for e, d in sorted(dims.items())},
+            "unimodal": flags.unimodal,
+            "strictly_unimodal": flags.strictly_unimodal,
+        }
+
+
+def _slow_block_measures(top, bottom):
+    """Every block of one meander, each classified."""
+    phi = _walk(*_partners(top, bottom))[0]
+    for side, comp in (("top", top), ("bottom", bottom)):
+        for k, (p, q) in enumerate(_block_spans(comp), start=1):
+            dims = _count_block(phi, p, q, side == "top", {})
+            flags = classify(dims)
+            if not (flags.symmetric and flags.unbroken):
+                yield {
+                    "meander": str(MeanderType(top, bottom)),
+                    "side": side,
+                    "block": k,
+                    "measures": list(_elements(dims)),
+                }
+
+
+def test_scans_match_the_slow_routes():
+    for n_max in range(1, 13):
+        for scan, kind, records in (
+            (scan_unimodality, "unimodality", _slow_unimodality),
+            (scan_block_measures, "block-measures", _slow_block_measures),
+        ):
+            slow = _slow_scan(kind, n_max, records).payload()
+            fast = scan(n_max).payload()
+            assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
+
+
+def _node(top, bottom):
+    """(top, bottom, phi) of a meander, phi from a walk of its own."""
+    return top, bottom, _walk(*_partners(top, bottom))[0]
+
+
+def test_grown_spectra_match_the_raw_spectrum_to_order_12():
+    # the scan's own path keeping, with a fresh walk and a whole spectrum
+    # beside every grown one
+    def visit(up, dims, node):
+        dims = lab._grow(dims, up, node)
+        top, bottom, _ = node
+        raw = _spectrum_raw(_node(top, bottom)[2], top, bottom)
+        return dims, [] if dims == raw else [str(MeanderType(top, bottom))]
+
+    report = lab._scan("grown", 12, visit)
+    assert report.checked == 8609
+    assert report.counterexamples == []
+
+
+def _children(top, bottom, n_max):
+    """The tree children of a Frobenius meander within order n_max, by the
+    public up-moves: ~F0 and ~R0 when a1 > b1, ~B0, and ~P0 when there are
+    two top blocks."""
+    tags = ["~B0"]
+    if top[0] > bottom[0]:
+        tags += ["~F0", "~R0"]
+    if len(top) > 1:
+        tags.append("~P0")
+    found = [apply_up_move(UpMove(tag), MeanderType(top, bottom)) for tag in tags]
+    return [(m.top, m.bottom) for m in found if m.n <= n_max]
+
+
+def test_grown_spectra_match_along_random_paths_to_order_20():
+    rng = random.Random(20)
+    nodes = 0
+    orders = set()
+    for _ in range(60):
+        up, dims = lab._EMPTY, {}
+        top, bottom = (1,), (1,)
+        while True:
+            node = _node(top, bottom)
+            dims = lab._grow(dims, up, node)
+            assert dims == _spectrum_raw(node[2], top, bottom), node
+            nodes += 1
+            children = _children(top, bottom, 20)
+            if not children:
+                break
+            up = node
+            top, bottom = rng.choice(children)
+        assert sum(top) + top[0] > 20  # a leaf: even ~B0 passes order 20
+        orders.add(sum(top))
+    assert nodes > 600 and 20 in orders
+
+
+def _block_multisets(node):
+    """The measure multiset of every block of node: (top ones, bottom ones)."""
+    top, bottom, phi = node
+    return tuple(
+        [_elements(_count_block(phi, p, q, is_top, {})) for p, q in _block_spans(comp)]
+        for comp, is_top in ((top, True), (bottom, False))
+    )
+
+
+def test_every_edge_keeps_the_blocks_it_does_not_make():
+    # the lemma the incremental scans rest on, on every edge to order 10
+    path = [lab._EMPTY]
+    flips = 0
+    for top, bottom, _, depth in _meander_tree(10, 0, 20):
+        del path[depth:]
+        up = path[-1]
+        node = _node(top, bottom)
+        path.append(node)
+        up_top, up_bottom = _block_multisets(up)
+        new_top, new_bottom = _block_multisets(node)
+        if sum(top) == sum(up[0]):
+            # a flip: the same blocks with the sides swapped, every
+            # potential negated, and so the same spectrum
+            flips += 1
+            assert (new_top, new_bottom) == (up_bottom, up_top)
+            assert node[2][1:] == [-f for f in up[2][1:]]
+            assert _spectrum_raw(node[2], top, bottom) == _spectrum_raw(up[2], *up[:2])
+            assert lab._made(up, node) == []
+            continue
+        # any other move replaces the first len(old) - len(new) + 1 blocks
+        # of each side and makes block 1 of each side; the rest keep theirs
+        replaced = [len(up[i]) - len(node[i]) + 1 for i in (0, 1)]
+        assert new_top[1:] == up_top[replaced[0]:]
+        assert new_bottom[1:] == up_bottom[replaced[1]:]
+        assert lab._gone(up, node) == [
+            (up[2], p, q, is_top)
+            for i, is_top in ((0, True), (1, False))
+            for p, q in list(_block_spans(up[i]))[: replaced[i]]
+        ]
+        assert lab._made(up, node) == [
+            (node[2], 1, node[i][0], is_top) for i, is_top in ((0, True), (1, False))
+        ]
+    assert 2 * flips + 1 == sum(FROBENIUS_PER_ORDER)  # all but 1/1 pair off
 
 
 def test_report_json_round_trip():
@@ -263,7 +433,7 @@ FROBENIUS_PER_ORDER = (1, 2, 6, 14, 34, 68, 150, 296, 586, 1140)
 
 def _frobenius_pairs(n_max):
     """The reverse-search tree, sorted into the brute loop's order."""
-    pairs = [(top, bottom) for top, bottom, _ in _meander_tree(n_max, 0, 2 * n_max)]
+    pairs = [(top, bottom) for top, bottom, *_ in _meander_tree(n_max, 0, 2 * n_max)]
     return sorted(pairs, key=lambda tb: (sum(tb[0]), tb))
 
 

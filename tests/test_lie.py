@@ -114,7 +114,7 @@ def test_index_oracle_beyond_dimension_63():
         family_biparabolic(4, 3, 2, 1),
         family_biparabolic(6, 5, 1, 1),
     ]
-    tree = [MeanderType(t, b) for t, b, _ in _meander_tree(14, 0, 28)]
+    tree = [MeanderType(t, b) for t, b, *_ in _meander_tree(14, 0, 28)]
     meanders += random.Random(0).sample([m for m in tree if 64 <= _dim(m) <= 150], 4)
     assert all(64 <= _dim(m) <= 150 for m in meanders)
     assert max(map(_dim, meanders)) >= 140

@@ -269,7 +269,7 @@ def test_enumerate_rejects_nonpositive():
 
 def _tree_sorted(n_max, max_index, max_blocks):
     """The reverse search, with no meander twice, sorted as brute_pairs."""
-    found = list(_meander_tree(n_max, max_index, max_blocks))
+    found = [entry[:3] for entry in _meander_tree(n_max, max_index, max_blocks)]
     assert len(found) == len(set(found))
     return sorted(found, key=lambda item: (sum(item[0]), item[:2]))
 
@@ -319,7 +319,27 @@ def test_index_zero_slice_is_the_frobenius_tree_in_order():
     # the scans and the oracle's samples read the slice in this order
     for n in range(0, 13):
         tree = [(top, bottom, 0) for top, bottom in _frobenius_tree(n)]
-        assert list(_meander_tree(n, 0, 2 * n)) == tree
+        assert [entry[:3] for entry in _meander_tree(n, 0, 2 * n)] == tree
+
+
+def _assert_each_parent_is_the_down_step(entries):
+    """The parent of an entry at depth d, the last entry before it at depth
+    d - 1 or the empty meander at depth 0, is its simplified down-step."""
+    path = [MeanderType((), ())]
+    count = 0
+    for top, bottom, _, depth in entries:
+        del path[depth:]
+        assert len(path) == depth
+        m = MeanderType(top, bottom)
+        assert step_simplified(m)[1] == path[-1]
+        path.append(m)
+        count += 1
+    return count
+
+
+def test_meander_tree_depth_names_the_parent():
+    assert _assert_each_parent_is_the_down_step(_meander_tree(9, 9, 18)) == len(brute_pairs(9))
+    assert _assert_each_parent_is_the_down_step(_meander_tree(12, 0, 24)) == 8609
 
 
 def test_generate_frobenius_zero_moves():
@@ -572,7 +592,7 @@ def _assert_up_moves_match(m):
 
 
 def test_valid_up_moves_match_copy_and_step_exhaustive():
-    for top, bottom, _ in _meander_tree(10, 0, 20):
+    for top, bottom, *_ in _meander_tree(10, 0, 20):
         _assert_up_moves_match(MeanderType(top, bottom))
 
 
