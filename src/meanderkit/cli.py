@@ -289,7 +289,14 @@ def _cmd_generate(argv, out, err) -> int:
         args = _Args(argv, {"--json"}, set())
         moves = winding.parse_up_moves(" ".join(args.positional))
         m = winding.wind_up(moves)
-        return _print(args, out, err, lambda: str(m), lambda: {"meander": str(m)})
+        try:
+            text = str(m)
+        except ValueError:  # a part past the interpreter's limit on digits
+            raise PreconditionError(
+                "the result has a part of more than "
+                f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+            ) from None
+        return _print(args, out, err, lambda: text, lambda: {"meander": text})
     moves = args.int_option("--moves", None)
     if moves is None:
         raise _Usage("generate needs --moves K or an explicit up-move sequence")

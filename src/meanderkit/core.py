@@ -27,6 +27,7 @@ measures and the Frobenius check all read this one walk.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -159,7 +160,13 @@ def _parse_uint(item: str, what: str) -> int:
     """
     if not (item.isascii() and item.isdigit()):
         raise ParseError(f"bad {what}: {item!r}")
-    return int(item)
+    try:
+        return int(item)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError(
+            f"bad {what}: {len(item)} digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def parse_type(text: str) -> MeanderType:

@@ -75,6 +75,15 @@ signature costs per run, not per move:
   q = 1 + min(r // delta, (a1 - 1) // delta - 1) moves and ends at
   a1 - q*delta, b_i = r - (q - 1)*delta + 1.
 
+Winding up costs per run on the runs that a signature shares.  _expand
+writes an R0^q run as q references to one move instance, hat_reversed maps
+that instance once and repeats its one ~R0, and wind_up recognises the
+repeats by identity alone.  ~R0 and ~R send a1 | b1 to 2a1 - b1 | a1, so
+both first blocks grow by d = a1 - b1 and d stays fixed.  Once the first
+move of the run succeeds (d > 0), the other q - 1 cannot fail and add
+(q - 1)*d to both first blocks at once.  Equal fresh instances, such as
+the undo moves of step_refined_full, are applied one move at a time.
+
 IC, IB and IR find the center block from a finger per stack: a stack
 index k and the start vertex p of that block.  A push, pop or rewrite at
 the end of a stack leaves k alone and moves p by the change in size in
@@ -659,31 +668,72 @@ def wind_up(seq: Iterable[UpMove]) -> MeanderType:
     The first move must be a component creation.  Each move's precondition
     is checked at application time; violations raise WindUpError carrying
     the 1-based step index.
+
+    A run of one ~R0 or ~R instance repeated, as hat_reversed writes an
+    R0^q run, costs one move: once its first move succeeds, the rest
+    cannot fail and are applied together in closed form (module
+    docstring).  Every other move, and each of equal fresh instances, is
+    applied on its own.
     """
     sides = _sides((), ())
     step = 0
-    for move in seq:
+    last = None  # the move last applied
+    moves = iter(seq)
+    for move in moves:
         step += 1
+        if move is last and move.tag in ("~R", "~R0"):
+            # the other moves of the run each add d = a1 - b1 to both first blocks
+            q = 1
+            for move in moves:
+                step += 1
+                if move is not last:
+                    break
+                q += 1
+            else:
+                move = None
+            top, bottom = sides
+            d = q * (top[-1] - bottom[-1])
+            top[-1] += d
+            bottom[-1] += d
+            if move is None:
+                break
         if step == 1 and move.tag not in ("~C", "~C0"):
             raise WindUpError(step, move, "the first move must create a component")
         try:
             _apply_up_raw(move.tag, move.c, move.block, sides)
         except PreconditionError as exc:
             raise WindUpError(step, move, str(exc)) from exc
+        last = move
     if step == 0:
         raise WindUpError(0, None, "empty up-move sequence")
     return _meander(sides)
 
 
+# The shared inverse of each simplified move without a parameter.
+_HATS = {tag: _UP_MOVES["~" + tag] for tag in SIMPLIFIED_TAGS if tag != "C0"}
+
+
 def hat_reversed(sig: Sequence[Move]) -> list[UpMove]:
-    """Reverse a simplified signature into the up-sequence that rebuilds it."""
+    """Reverse a simplified signature into the up-sequence that rebuilds it.
+
+    Each move instance is looked up once, and its repeats, such as the
+    shared move of an R0^q run, get the same up-move, which wind_up then
+    takes as one run.
+    """
     out = []
+    append = out.append
+    last = up = None
     for mv in reversed(sig):
-        if mv.tag not in SIMPLIFIED_TAGS:
-            raise PreconditionError(
-                f"hat_reversed takes a simplified signature, got {mv.tag}"
-            )
-        out.append(_UP_MOVES.get("~" + mv.tag) or UpMove("~C0", mv.c))
+        if mv is not last:
+            last = mv
+            up = _HATS.get(mv.tag)
+            if up is None:
+                if mv.tag != "C0":
+                    raise PreconditionError(
+                        f"hat_reversed takes a simplified signature, got {mv.tag}"
+                    )
+                up = UpMove("~C0", mv.c)
+        append(up)
     return out
 
 

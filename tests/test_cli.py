@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from meanderkit import cli, lab, lie
 from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
 from meanderkit import enumerate_meanders, index_naive, parse_type
@@ -94,6 +96,46 @@ def test_unicode_digits_exit_one():
     for argv in cases:
         code, out, err = call(*argv)
         assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on the digits of an int read from or written
+    to a string, set for the test and restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parts_past_the_digit_limit_exit_one(digit_limit):
+    long = "1" * (digit_limit + 100)
+    for argv in (
+        ["index", f"{long}/{long}"],
+        ["signature", f"{long}/{long}"],
+        ["check", f"1|{long}/{long}|1"],
+    ):
+        code, out, err = call(*argv)
+        assert (code, out) == (1, "") and _one_error_line(err)
+        assert f"more than the limit of {digit_limit}" in err
+
+
+def test_up_move_parameters_past_the_digit_limit_exit_one(digit_limit):
+    code, out, err = call("generate", "~C0(" + "1" * (digit_limit + 1) + ")")
+    assert (code, out) == (1, "") and _one_error_line(err)
+    assert f"more than the limit of {digit_limit}" in err
+
+
+def test_generated_parts_past_the_digit_limit_exit_two(digit_limit):
+    # 2**15000 has 4516 digits
+    for flags in ([], ["--json"]):
+        code, out, err = call("generate", "~C0(1)", *["~B0"] * 15000, *flags)
+        assert (code, out) == (2, "") and _one_error_line(err)
+        assert f"more than {digit_limit} digits" in err
 
 
 def test_signed_numbers_exit_one():

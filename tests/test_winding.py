@@ -603,3 +603,177 @@ def test_valid_up_moves_match_copy_and_step_along_chains():
         for _ in range(120):
             _assert_up_moves_match(_meander(sides))
             _apply_up_raw(*rng.choice(_valid_up_moves(sides)), sides)
+
+
+# --- run-form winding up against the per-move routes -----------------------------
+
+
+def _slow_wind_up(seq):
+    """The slow route: every up-move through _apply_up_raw, one at a time."""
+    sides = _sides((), ())
+    step = 0
+    for move in seq:
+        step += 1
+        if step == 1 and move.tag not in ("~C", "~C0"):
+            raise WindUpError(step, move, "the first move must create a component")
+        try:
+            _apply_up_raw(move.tag, move.c, move.block, sides)
+        except PreconditionError as exc:
+            raise WindUpError(step, move, str(exc)) from exc
+    if step == 0:
+        raise WindUpError(0, None, "empty up-move sequence")
+    return _meander(sides)
+
+
+def _slow_hat_reversed(sig):
+    """The slow route: a fresh up-move for each move."""
+    out = []
+    for mv in reversed(sig):
+        if mv.tag not in ("F0", "C0", "B0", "R0", "P0"):
+            raise PreconditionError(f"hat_reversed takes a simplified signature, got {mv.tag}")
+        out.append(UpMove("~" + mv.tag, mv.c))
+    return out
+
+
+def _outcome(route, seq):
+    """The meander that route builds from seq, or the step, reason and text
+    of the WindUpError it raises."""
+    try:
+        return route(seq)
+    except WindUpError as exc:
+        return exc.step, exc.reason, str(exc)
+
+
+def _fresh(seq):
+    """Equal up-moves, none of them shared."""
+    return [UpMove(mv.tag, mv.c, mv.block) for mv in seq]
+
+
+def _longest_run(seq):
+    """The most times one instance repeats in a row."""
+    best = run = 0
+    last = None
+    for mv in seq:
+        run = run + 1 if mv is last else 1
+        last = mv
+        best = max(best, run)
+    return best
+
+
+def test_wind_up_and_hat_reversed_match_the_slow_routes_to_order_7():
+    for n in range(1, 8):
+        for m in enumerate_meanders(n):
+            sig = signature_simplified(m)
+            up = hat_reversed(sig)
+            assert up == _slow_hat_reversed(sig)
+            assert wind_up(up) == _slow_wind_up(up) == m
+
+
+def test_wind_up_matches_the_slow_route_on_long_rotation_runs():
+    rng = random.Random(22)
+    for steps in (10**3, 10**4, 10**5):
+        for _ in range(2):
+            a = rng.randint(2, 20)
+            b = a * steps + rng.randint(1, a - 1)
+            m = MeanderType((a, b), (a + b,))
+            up = hat_reversed(signature_simplified(m))
+            assert _longest_run(up) >= steps - 1
+            assert wind_up(up) == _slow_wind_up(up) == m
+
+
+def _random_up_sequence(rng):
+    """Up-moves of shared instances with long ~R0 and ~R runs; about one
+    sequence in three holds a move whose precondition fails."""
+    shared = {tag: parse_up_moves(tag)[0] for tag in ("~R0", "~R", "~B0", "~F0", "~P0", "~B", "~F")}
+    seq = [UpMove("~C0", rng.randint(1, 5))]
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.4:
+            seq += [shared[rng.choice(("~R0", "~R"))]] * rng.randint(1, 3000)
+        elif kind < 0.9:
+            seq.append(shared[rng.choice(("~B0", "~F0", "~P0", "~B", "~F"))])
+        else:
+            seq.append(UpMove("~C0", rng.randint(1, 5)))
+    return seq
+
+
+def _assert_routes_agree(seq):
+    expected = _outcome(_slow_wind_up, seq)
+    assert _outcome(wind_up, seq) == expected
+    assert _outcome(wind_up, iter(seq)) == expected
+    assert _outcome(wind_up, _fresh(seq)) == expected
+    return expected
+
+
+def test_wind_up_matches_the_slow_route_on_random_runs():
+    rng = random.Random(2022)
+    failed = 0
+    for _ in range(300):
+        failed += isinstance(_assert_routes_agree(_random_up_sequence(rng)), tuple)
+    assert 30 <= failed <= 270
+
+
+def test_wind_up_reports_the_step_of_a_failing_move_around_a_run():
+    r0, r, p0 = (parse_up_moves(tag)[0] for tag in ("~R0", "~R", "~P0"))
+    c2 = UpMove("~C0", 2)
+    cases = [
+        # a failing move right after a run: 6/3|3, then one top block left
+        ([c2, UpMove("~B0")] + [r0] * 1000 + [p0], 1003),
+        ([c2, UpMove("~B0")] + [r0] * 1000 + [UpMove("~P")], 1003),
+        # a run that starts on a1 = b1, and one on a1 < b1
+        ([c2] + [r0] * 500, 2),
+        ([c2, UpMove("~B0"), UpMove("~F0")] + [r] * 500, 4),
+        # a run, a flip, then a second run on a1 < b1
+        ([c2, UpMove("~B0")] + [r0] * 7 + [UpMove("~F0")] + [r0] * 5, 11),
+        # the first-move check comes before any run
+        ([r0] * 10, 1),
+    ]
+    for seq, step in cases:
+        outcome = _assert_routes_agree(seq)
+        assert outcome[0] == step
+    assert _assert_routes_agree([]) == (0, "empty up-move sequence", "step 0 (?): empty up-move sequence")
+
+
+def test_wind_up_applies_a_shared_run_once_and_fresh_moves_one_by_one(monkeypatch):
+    from meanderkit import winding
+
+    calls = []
+    raw = winding._apply_up_raw
+
+    def counting(*args):
+        calls.append(args[0])
+        return raw(*args)
+
+    monkeypatch.setattr(winding, "_apply_up_raw", counting)
+    m = MeanderType((3, 3 * 4000 + 1), (3 * 4001 + 1,))
+    up = hat_reversed(signature_simplified(m))
+    assert wind_up(up) == m
+    assert len(calls) < 10 < len(up)
+    calls.clear()
+    assert wind_up(_fresh(up)) == m
+    assert len(calls) == len(up)
+
+
+def test_hat_reversed_matches_the_slow_route_on_fresh_moves():
+    rng = random.Random(7)
+    for _ in range(200):
+        m = random_meander(rng, 60)
+        sig = signature_simplified(m)
+        fresh = parse_signature(signature_to_text(sig))
+        assert hat_reversed(fresh) == hat_reversed(sig) == _slow_hat_reversed(sig)
+
+
+def test_hat_reversed_raises_on_a_refined_tag_inside_a_run():
+    r0, r = Move("R0"), Move("R")
+    for sig in (
+        [r0] * 3 + [r] * 4 + [r0] * 2,
+        [Move("C0", 1)] + [r0] * 5 + [Move("IR")] * 3,
+        [Move("P")] + [r0] * 4 + [Move("C0", 2)],
+        signature_refined(parse_type("16|2|4/5|17")),
+    ):
+        texts = []
+        for route in (hat_reversed, _slow_hat_reversed):
+            with pytest.raises(PreconditionError) as exc:
+                route(sig)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
