@@ -108,8 +108,18 @@ def _emit(text: str, out) -> None:
 def _print(args: _Args, out, err, text, payload=None) -> int:
     """The one output path: write payload() as JSON under --json, else
     text(), to the -o file or else to out; 1 if the file fails, else 0.
-    Only the form that is printed is built."""
-    body = json.dumps(payload()) if "--json" in args.flags else text()
+    Only the form that is printed is built.  A number past the
+    interpreter's limit on digits raises PreconditionError before
+    anything is written."""
+    try:
+        body = json.dumps(payload()) if "--json" in args.flags else text()
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise PreconditionError(
+            "the result has a number of more than "
+            f"{sys.get_int_max_str_digits()} digits and cannot be printed"
+        ) from None
     if "-o" not in args.options:
         _emit(body, out)
         return 0
@@ -230,13 +240,29 @@ def _cmd_signature(argv, out, err) -> int:
     )
 
 
+# Most characters of the homotopy text, checked before it is built.  The
+# text grows with the elimination parameters, not with the runs: homotopy
+# N/N writes N // 2 circles.  At it (Python 3.11, shared 2-core host, peak
+# RSS) 19999996/19999996 takes 0.04 s at 35 MB, near the memory of a
+# diagram at DIAGRAM_MAX_CELLS.
+HOMOTOPY_MAX_CHARS = 10_000_000
+
+
 def _cmd_homotopy(argv, out, err) -> int:
     args = _Args(argv, {"--json"}, set())
     m = _one_meander(args)
     ht = winding.homotopy_type(m)
+
+    def text() -> str:
+        # each symbol is c // 2 circles, a centre point when c is odd and
+        # two brackets, and one space separates two symbols
+        chars = sum(c // 2 + c % 2 + 3 for c in ht.parameters()) - 1
+        _check_budget("character count", chars, HOMOTOPY_MAX_CHARS, "homotopy text")
+        return str(ht)
+
     return _print(
         args, out, err,
-        lambda: str(ht),
+        text,
         lambda: {
             "meander": str(m),
             "symbols": [
@@ -289,14 +315,7 @@ def _cmd_generate(argv, out, err) -> int:
         args = _Args(argv, {"--json"}, set())
         moves = winding.parse_up_moves(" ".join(args.positional))
         m = winding.wind_up(moves)
-        try:
-            text = str(m)
-        except ValueError:  # a part past the interpreter's limit on digits
-            raise PreconditionError(
-                "the result has a part of more than "
-                f"{sys.get_int_max_str_digits()} digits and cannot be printed"
-            ) from None
-        return _print(args, out, err, lambda: text, lambda: {"meander": text})
+        return _print(args, out, err, lambda: str(m), lambda: {"meander": str(m)})
     moves = args.int_option("--moves", None)
     if moves is None:
         raise _Usage("generate needs --moves K or an explicit up-move sequence")
@@ -342,17 +361,14 @@ def _cmd_oracle(argv, out, err) -> int:
         )
     if sub == "principal":
         fhat = lie.principal_element(m)
-        if fhat.is_diagonal:
-            diag = [_frac_json(x) for x in fhat.diagonal()]
-            return _print(
-                args, out, err,
-                lambda: "diag " + " ".join(str(x) for x in diag),
-                lambda: {"meander": str(m), "diag": diag},
-            )
-        # a full matrix has no text form and prints as JSON either way
-        entries = {f"{i},{j}": _frac_json(v) for (i, j), v in sorted(fhat.entries.items())}
-        payload = {"meander": str(m), "matrix": entries}
-        return _print(args, out, err, lambda: json.dumps(payload), lambda: payload)
+        if not fhat.is_diagonal:
+            raise ConsistencyError("principal element is not diagonal")
+        diag = [_frac_json(x) for x in fhat.diagonal()]
+        return _print(
+            args, out, err,
+            lambda: "diag " + " ".join(str(x) for x in diag),
+            lambda: {"meander": str(m), "diag": diag},
+        )
     if sub == "spectrum":
         dims = lie.ad_spectrum(m)
         return _print(

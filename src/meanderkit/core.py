@@ -315,9 +315,14 @@ def index_naive(m: MeanderType) -> int:
 
 
 def _check_budget(what: str, value: int, limit: int, budget: str) -> None:
-    """Raise PreconditionError, naming the budget, if value exceeds limit."""
+    """Raise PreconditionError, naming the budget, if value exceeds limit.
+    A value past the interpreter's limit on digits is named by its size."""
     if value > limit:
-        raise PreconditionError(f"{what} {value} exceeds the {budget} budget {limit}")
+        try:
+            shown = str(value)
+        except ValueError:
+            shown = f"of more than {sys.get_int_max_str_digits()} digits"
+        raise PreconditionError(f"{what} {shown} exceeds the {budget} budget {limit}")
 
 
 def _check_dim(m: MeanderType, limit: int, budget: str) -> None:

@@ -21,11 +21,12 @@ alone, and five_block_meanders, which feeds the gcd search, its five-block
 slice.  So each costs in proportion to the meanders it checks rather than
 to all 4^(n-1) pairs of order n.
 
-The two Frobenius scans are incremental along that tree.  A non-flip
-up-move replaces only the first blocks of its parent and makes block 1 of
-each side, and every other block keeps its measures (see the spectrum
-module docstring), while a flip keeps the blocks and swaps their sides.
-So _scan keeps the current root-to-meander path, one entry per depth, and
+The two Frobenius scans are incremental along that tree, whose walk names
+the up-move of each edge.  A non-flip up-move replaces only first blocks
+of its parent, which its tag says, and makes block 1 of each side, and
+every other block keeps its measures (see the spectrum module docstring),
+while a flip keeps the blocks and swaps their sides.  So _scan keeps the
+current root-to-meander path, one entry per depth, and
 scan_unimodality grows each spectrum from its parent's, measuring only
 the replaced and the made blocks, and scan_block_measures checks each
 block once, at the meander that makes it.  The tests keep the whole-
@@ -48,17 +49,17 @@ from math import gcd
 
 from .core import (
     Composition,
+    ConsistencyError,
     MeanderType,
     ParseError,
     PreconditionError,
     _check_budget,
-    _index,
     _parse_uint,
     _partners,
     _walk,
 )
 from .spectrum import SpectrumFlags, _count_block, _elements, classify
-from .winding import _meander_tree
+from .winding import _meander_tree, _parameters
 
 __all__ = [
     "GcdCondition",
@@ -150,7 +151,7 @@ def five_block_meanders(n_max: int) -> tuple[list[MeanderType], list[MeanderType
     nonfrob: list[MeanderType] = []
     for *_, top, bottom, index in sorted(
         (sum(top), len(top), top, bottom, index)
-        for top, bottom, index, _ in _meander_tree(n_max, n_max, 5)
+        for top, bottom, index, *_ in _meander_tree(n_max, n_max, 5)
         if len(top) + len(bottom) == 5
     ):
         (frob if index == 0 else nonfrob).append(MeanderType(top, bottom))
@@ -244,11 +245,12 @@ def search_gcd_conditions(
     for m in sample + non_sample:
         if len(m.top) + len(m.bottom) != 5:
             raise PreconditionError(f"not a five-block meander: {m}")
+    # the index is the sum of the elimination parameters less one
     for m in sample:
-        if _index(m.top, m.bottom) != 0:
+        if sum(_parameters(m)) != 1:
             raise PreconditionError(f"sample meander is not Frobenius: {m}")
     for m in non_sample:
-        if _index(m.top, m.bottom) == 0:
+        if sum(_parameters(m)) == 1:
             raise PreconditionError(f"non-sample meander is Frobenius: {m}")
 
     t0 = time.monotonic()
@@ -295,51 +297,45 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
     return [record for _, _, record in found]
 
 
-# The empty meander as a node of the walk: no blocks, and a phi of order 0.
-_EMPTY = ((), (), [None])
-
-
-def _made(up: tuple, node: tuple) -> list:
-    """The blocks that the up-move from up to its child node makes, as
-    (phi, p, q, top) arguments of _count_block, each node a (top, bottom,
-    phi) triple of the index-0 slice.  A non-flip up-move makes block 1 of
-    each side; every other block of the child keeps the measures it had in
-    up (see the spectrum module docstring).  A flip, the child whose top
-    is the bottom of up, swaps the sides of the same blocks and makes
-    none."""
-    top, bottom, phi = node
-    if top == up[1]:
+def _made(tag: str, node: tuple) -> list:
+    """The blocks that the up-move tag makes in its child node, as (phi,
+    p, q, top) arguments of _count_block, each node a (top, bottom, phi)
+    triple of the index-0 slice.  Every up-move but ~F0 makes block 1 of
+    each side; every other block of the child keeps the measures it had
+    in its parent (see the spectrum module docstring).  ~F0 swaps the
+    sides of the same blocks and makes none."""
+    if tag == "~F0":
         return []
+    top, bottom, phi = node
     return [(phi, 1, top[0], True), (phi, 1, bottom[0], False)]
 
 
-def _gone(up: tuple, node: tuple) -> list:
-    """The blocks of up that the non-flip up-move to its child node
-    replaces, as _made gives them but with the phi of up: top block 1, and
-    top block 2 too if the move is ~P0, which merges them, or bottom block
-    1 too if it is ~R0, which keeps the number of bottom blocks.  1/1, the
-    child of the empty meander, replaces none."""
-    up_top, up_bottom, up_phi = up
-    if not up_top:
+def _gone(tag: str, up: tuple | None) -> list:
+    """The blocks of the parent up that the non-flip up-move tag replaces,
+    as _made gives them but with the phi of up: none for ~C0, which puts
+    its blocks in front of all others, top block 1 for ~B0, top blocks 1
+    and 2 for ~P0, which merges them, and top and bottom block 1 for ~R0."""
+    if tag == "~C0":
         return []
-    a1 = up_top[0]
-    gone = [(up_phi, 1, a1, True)]
-    if len(node[0]) < len(up_top):
-        gone.append((up_phi, a1 + 1, a1 + up_top[1], True))
-    elif len(node[1]) == len(up_bottom):
-        gone.append((up_phi, 1, up_bottom[0], False))
+    top, bottom, phi = up
+    a1 = top[0]
+    gone = [(phi, 1, a1, True)]
+    if tag == "~P0":
+        gone.append((phi, a1 + 1, a1 + top[1], True))
+    elif tag == "~R0":
+        gone.append((phi, 1, bottom[0], False))
     return gone
 
 
-def _grow(dims: dict, up: tuple, node: tuple) -> dict:
+def _grow(dims: dict, tag: str, up: tuple | None, node: tuple) -> dict:
     """The spectrum of node from dims, that of its parent up: dims itself
     at a flip, which makes no blocks, else a copy less the measures of the
     blocks _gone plus those of the blocks _made."""
-    made = _made(up, node)
+    made = _made(tag, node)
     if not made:
         return dims
     lost: dict = {}
-    for block in _gone(up, node):
+    for block in _gone(tag, up):
         _count_block(*block, lost)
     dims = dict(dims)
     for block in made:
@@ -354,32 +350,32 @@ def _grow(dims: dict, up: tuple, node: tuple) -> dict:
 
 
 def _scan(kind: str, n_max: int, visit) -> ScanReport:
-    """Report the records of visit(up, state, node) for every Frobenius
-    meander of order <= n_max, as the counterexamples of a scan of the
-    given kind.  The walk keeps the current tree path, one (node, state)
-    per depth: node is (top, bottom, phi), up is the node of the parent,
-    and state is what visit returned there, or at the empty meander its
-    spectrum {}; visit returns (state, records).  phi comes from one walk of the
-    meander, except at a flip: that walks the path of its parent with
-    every arc reversed, so it negates each potential.  An n_max over
-    SCAN_MAX_ORDER raises PreconditionError before the walk."""
+    """Report the records of visit(tag, up, state, node) for every
+    Frobenius meander of order <= n_max, as the counterexamples of a scan
+    of the given kind.  The walk keeps the current tree path, one (node,
+    state) per depth: node is (top, bottom, phi), up the parent's node or
+    None, tag the up-move from up, and state what visit returned at up or
+    the empty spectrum {}; visit returns (state, records).  phi comes from
+    one walk of the meander, except at a flip: that walks the path of its
+    parent with every arc reversed, so it negates each potential.  An
+    n_max over SCAN_MAX_ORDER raises PreconditionError before the walk."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     _check_budget("order", n_max, SCAN_MAX_ORDER, "scan")
     t0 = time.monotonic()
     found = []
     checked = 0
-    path: list = [(_EMPTY, {})]
-    for top, bottom, _, depth in _meander_tree(n_max, 0, 2 * n_max):
+    path: list = [(None, {})]
+    for top, bottom, _, depth, tag in _meander_tree(n_max, 0, 2 * n_max):
         checked += 1
         del path[depth:]
         up, state = path[-1]
-        if top == up[1]:
+        if tag == "~F0":
             phi = [None] + [-f for f in islice(up[2], 1, None)]
         else:
             phi = _walk(*_partners(top, bottom))[0]
         node = (top, bottom, phi)
-        state, records = visit(up, state, node)
+        state, records = visit(tag, up, state, node)
         path.append((node, state))
         if records:
             found.extend((top, bottom, record) for record in records)
@@ -419,13 +415,13 @@ def scan_unimodality(n_max: int) -> ScanReport:
     """
     shape = _classifier()
 
-    def visit(up: tuple, dims: dict, node: tuple):
-        dims = _grow(dims, up, node)
+    def visit(tag: str, up: tuple | None, dims: dict, node: tuple):
+        dims = _grow(dims, tag, up, node)
         flags = shape(dims)
         top, bottom, _ = node
         if not (flags.symmetric and flags.unbroken):
-            raise AssertionError(
-                f"symmetric/unbroken violated at {top}/{bottom}: {dims}"
+            raise ConsistencyError(
+                f"symmetric/unbroken violated at {MeanderType(top, bottom)}: {dims}"
             )
         if flags.unimodal and flags.strictly_unimodal:
             return dims, ()
@@ -450,10 +446,10 @@ def scan_block_measures(n_max: int) -> ScanReport:
     """
     shape = _classifier()
 
-    def visit(up: tuple, _, node: tuple):
+    def visit(tag: str, up, _, node: tuple):
         top, bottom, _ = node
         records = []
-        for phi, p, q, is_top in _made(up, node):
+        for phi, p, q, is_top in _made(tag, node):
             dims = _count_block(phi, p, q, is_top, {})
             flags = shape(dims)
             if not (flags.symmetric and flags.unbroken):

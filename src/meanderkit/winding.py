@@ -119,7 +119,8 @@ Each entry carries its depth, the number of up-moves from the empty
 meander, which has depth 0 and is not reported; 1/1 has depth 1.  The
 walk is depth first, so the parent of an entry at depth d >= 2 is the
 last entry before it at depth d - 1, and one list indexed by depth holds
-the current root-to-entry path.
+the current root-to-entry path.  Each entry also names the up-move that
+makes it from its parent, so a reader of the walk need not work it out.
 """
 
 from __future__ import annotations
@@ -755,34 +756,35 @@ def enumerate_meanders(n: int) -> Iterator[MeanderType]:
 
 def _meander_tree(
     n_max: int, max_index: int, max_blocks: int
-) -> Iterator[tuple[Composition, Composition, int, int]]:
-    """(top, bottom, index, depth) of every non-empty meander within the
-    three budgets, once each, depth first; see the module docstring for the
-    walk and the depth."""
-    # each entry carries its order, its index, the blocks it may add and
-    # its depth
-    stack = [((), (), 0, -1, max_blocks, 0)]
+) -> Iterator[tuple[Composition, Composition, int, int, str]]:
+    """(top, bottom, index, depth, tag) of every non-empty meander within
+    the three budgets, once each, depth first; tag names the up-move that
+    makes it from its parent.  See the module docstring for the walk."""
+    # each entry carries its order, its index, the blocks it may add, its
+    # depth and its tag
+    stack = [((), (), 0, -1, max_blocks, 0, None)]
     push = stack.append
     while stack:
-        top, bottom, n, index, room, depth = stack.pop()
+        top, bottom, n, index, room, depth, tag = stack.pop()
         d = depth + 1
         if top:
-            yield top, bottom, index, depth
+            yield top, bottom, index, depth, tag
             # the ~F0, ~B0, ~R0 and ~P0 children, each kept within the budgets
             a1 = top[0]
             b1 = bottom[0]
             if a1 > b1:
-                push((bottom, top, n, index, room, d))
+                push((bottom, top, n, index, room, d, "~F0"))
             if n + a1 <= n_max and room:
-                push(((2 * a1,) + top[1:], (a1,) + bottom, n + a1, index, room - 1, d))
+                push(((2 * a1,) + top[1:], (a1,) + bottom, n + a1, index, room - 1, d, "~B0"))
             if a1 > b1 and n + a1 - b1 <= n_max:
-                push(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:], n + a1 - b1, index, room, d))
+                push(((2 * a1 - b1,) + top[1:], (a1,) + bottom[1:],
+                      n + a1 - b1, index, room, d, "~R0"))
             if len(top) > 1 and n + top[1] <= n_max:
                 a2 = top[1]
-                push(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2, index, room, d))
+                push(((a1 + 2 * a2,) + top[2:], (a2,) + bottom, n + a2, index, room, d, "~P0"))
         if index < max_index and room > 1:
             for c in range(1, min(n_max - n, max_index - index) + 1):
-                push(((c,) + top, (c,) + bottom, n + c, index + c, room - 2, d))
+                push(((c,) + top, (c,) + bottom, n + c, index + c, room - 2, d, "~C0"))
 
 
 def _valid_up_moves(sides: list[list[int]]) -> list[tuple[str, None, int | None]]:

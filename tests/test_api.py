@@ -205,6 +205,29 @@ def test_unused_imports_are_flagged():
     assert _unused_imports(source) == ["a", "os"]
 
 
+def _asserts(source: str) -> list[int]:
+    """Lines of the assert statements and AssertionError names of a module:
+    python -O drops the first, and every exit 3 is a ConsistencyError."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    )
+
+
+def test_asserts_are_flagged():
+    source = "assert x\nraise AssertionError('y')\nz = AssertionErrors\n"
+    assert _asserts(source) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(meanderkit.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_asserts_in_the_package(path):
+    assert _asserts(path.read_text(encoding="utf-8")) == []
+
+
 # the package __init__ imports only to re-export, so it is left out
 @pytest.mark.parametrize(
     "path",

@@ -3,11 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from meanderkit import cli, lab, lie
-from meanderkit.cli import DIAGRAM_MAX_CELLS, ascii_diagram, run, svg_diagram
+from meanderkit.cli import (
+    DIAGRAM_MAX_CELLS,
+    HOMOTOPY_MAX_CHARS,
+    ascii_diagram,
+    run,
+    svg_diagram,
+)
 from meanderkit import enumerate_meanders, index_naive, parse_type
 from meanderkit.core import WALK_MAX_ORDER
 from meanderkit.lab import FIVE_BLOCK_MAX_ORDER, GCD_MAX_PAIRS, SCAN_MAX_ORDER
@@ -136,6 +143,28 @@ def test_generated_parts_past_the_digit_limit_exit_two(digit_limit):
         code, out, err = call("generate", "~C0(1)", *["~B0"] * 15000, *flags)
         assert (code, out) == (2, "") and _one_error_line(err)
         assert f"more than {digit_limit} digits" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["index"],
+        ["index", "--json"],
+        ["check"],
+        ["signature", "--json"],
+        ["signature", "--refined", "--json"],
+        ["spectrum"],
+        ["index", "--verify"],
+    ],
+    ids=" ".join,
+)
+def test_results_past_the_digit_limit_exit_two(digit_limit, flags):
+    # every part fits, but the index has 4 301 digits, and the seaweed
+    # dimension and the order, which the budgets name, have more
+    part = "9" * digit_limit
+    code, out, err = call(flags[0], f"{part}|{part}/{part}|{part}", *flags[1:])
+    assert (code, out) == (2, "") and _one_error_line(err)
+    assert f"more than {digit_limit} digits" in err
 
 
 def test_signed_numbers_exit_one():
@@ -284,6 +313,29 @@ def test_check_verb():
 def test_homotopy_verb():
     code, out, _ = call("homotopy", "2|1/2|1")
     assert code == 0 and out == "(o) (.)\n"
+
+
+def test_homotopy_text_budget(digit_limit):
+    # the text of c/c is one symbol of c // 2 circles, a centre point when
+    # c is odd, and two brackets; it is refused before it is built
+    c = 2 * HOMOTOPY_MAX_CHARS - 4
+    code, out, _ = call("homotopy", f"{c}/{c}")
+    assert code == 0 and out == "(" + "o" * (c // 2) + ")\n"
+    assert len(out) == HOMOTOPY_MAX_CHARS + 1
+    c += 2
+    assert call("homotopy", f"{c}/{c}") == (
+        2, "",
+        f"error: character count {HOMOTOPY_MAX_CHARS + 1} exceeds the homotopy text budget "
+        f"{HOMOTOPY_MAX_CHARS}\n",
+    )
+    # two symbols of 4 300 digits each: the count itself cannot be printed
+    part = "9" * digit_limit
+    meander = f"{part}|{part}/{part}|{part}"
+    code, out, err = call("homotopy", meander)
+    assert (code, out) == (2, "") and _one_error_line(err)
+    assert f"character count of more than {digit_limit} digits" in err
+    code, out, _ = call("homotopy", meander, "--json")
+    assert code == 0 and [s["c"] for s in json.loads(out)["symbols"]] == [int(part)] * 2
 
 
 def test_generate_explicit_sequence():
@@ -448,6 +500,35 @@ def test_every_exit_three_is_one_consistency_line(monkeypatch):
     assert call("oracle", "cybe", "1|2/3", "--json") == (
         3, '{"meander": "1|2/3", "cybe_zero": false}\n', failure
     )
+
+
+def test_a_broken_spectrum_in_the_unimodality_scan_exits_three(monkeypatch):
+    # the skew of test_scan_block_measures_reports_a_broken_block: the
+    # spectrum of 3/1|2 is then not symmetric, which only a bug can cause
+    real = lab._walk
+    partners = lab._partners((3,), (1, 2))
+
+    def skewed(tp, bp):
+        phi, root, cycles, paths = real(tp, bp)
+        if (tp, bp) == partners:
+            phi[1] += 2
+        return phi, root, cycles, paths
+
+    monkeypatch.setattr(lab, "_walk", skewed)
+    code, out, err = call("search", "unimodality", "--n-max", "4")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err.startswith("internal consistency failure: symmetric/unbroken violated at 3/1|2: ")
+
+
+def test_a_principal_element_off_the_diagonal_exits_three(monkeypatch):
+    def principal_element(m):
+        return lie.PrincipalElement(m.n, {(1, 1): Fraction(1), (1, 2): Fraction(1)})
+
+    monkeypatch.setattr(lie, "principal_element", principal_element)
+    for flags in ([], ["--json"]):
+        assert call("oracle", "principal", "1|2/3", *flags) == (
+            3, "", "internal consistency failure: principal element is not diagonal\n"
+        )
 
 
 def test_search_order_budgets_and_empty_subsample_exit_two():

@@ -306,8 +306,8 @@ def _node(top, bottom):
 def test_grown_spectra_match_the_raw_spectrum_to_order_12():
     # the scan's own path keeping, with a fresh walk and a whole spectrum
     # beside every grown one
-    def visit(up, dims, node):
-        dims = lab._grow(dims, up, node)
+    def visit(tag, up, dims, node):
+        dims = lab._grow(dims, tag, up, node)
         top, bottom, _ = node
         raw = _spectrum_raw(_node(top, bottom)[2], top, bottom)
         return dims, [] if dims == raw else [str(MeanderType(top, bottom))]
@@ -318,16 +318,16 @@ def test_grown_spectra_match_the_raw_spectrum_to_order_12():
 
 
 def _children(top, bottom, n_max):
-    """The tree children of a Frobenius meander within order n_max, by the
-    public up-moves: ~F0 and ~R0 when a1 > b1, ~B0, and ~P0 when there are
-    two top blocks."""
+    """The tree children of a Frobenius meander within order n_max, each
+    with its tag, by the public up-moves: ~F0 and ~R0 when a1 > b1, ~B0,
+    and ~P0 when there are two top blocks."""
     tags = ["~B0"]
     if top[0] > bottom[0]:
         tags += ["~F0", "~R0"]
     if len(top) > 1:
         tags.append("~P0")
-    found = [apply_up_move(UpMove(tag), MeanderType(top, bottom)) for tag in tags]
-    return [(m.top, m.bottom) for m in found if m.n <= n_max]
+    found = [(tag, apply_up_move(UpMove(tag), MeanderType(top, bottom))) for tag in tags]
+    return [(tag, m.top, m.bottom) for tag, m in found if m.n <= n_max]
 
 
 def test_grown_spectra_match_along_random_paths_to_order_20():
@@ -335,18 +335,18 @@ def test_grown_spectra_match_along_random_paths_to_order_20():
     nodes = 0
     orders = set()
     for _ in range(60):
-        up, dims = lab._EMPTY, {}
-        top, bottom = (1,), (1,)
+        up, dims = None, {}
+        tag, top, bottom = "~C0", (1,), (1,)
         while True:
             node = _node(top, bottom)
-            dims = lab._grow(dims, up, node)
+            dims = lab._grow(dims, tag, up, node)
             assert dims == _spectrum_raw(node[2], top, bottom), node
             nodes += 1
             children = _children(top, bottom, 20)
             if not children:
                 break
             up = node
-            top, bottom = rng.choice(children)
+            tag, top, bottom = rng.choice(children)
         assert sum(top) + top[0] > 20  # a leaf: even ~B0 passes order 20
         orders.add(sum(top))
     assert nodes > 600 and 20 in orders
@@ -363,35 +363,36 @@ def _block_multisets(node):
 
 def test_every_edge_keeps_the_blocks_it_does_not_make():
     # the lemma the incremental scans rest on, on every edge to order 10
-    path = [lab._EMPTY]
+    path = [((), (), [None])]  # the empty meander, with a phi of order 0
     flips = 0
-    for top, bottom, _, depth in _meander_tree(10, 0, 20):
+    for top, bottom, _, depth, tag in _meander_tree(10, 0, 20):
         del path[depth:]
         up = path[-1]
         node = _node(top, bottom)
         path.append(node)
         up_top, up_bottom = _block_multisets(up)
         new_top, new_bottom = _block_multisets(node)
-        if sum(top) == sum(up[0]):
+        assert (tag == "~F0") == (sum(top) == sum(up[0]))
+        if tag == "~F0":
             # a flip: the same blocks with the sides swapped, every
             # potential negated, and so the same spectrum
             flips += 1
             assert (new_top, new_bottom) == (up_bottom, up_top)
             assert node[2][1:] == [-f for f in up[2][1:]]
             assert _spectrum_raw(node[2], top, bottom) == _spectrum_raw(up[2], *up[:2])
-            assert lab._made(up, node) == []
+            assert lab._made(tag, node) == []
             continue
         # any other move replaces the first len(old) - len(new) + 1 blocks
         # of each side and makes block 1 of each side; the rest keep theirs
         replaced = [len(up[i]) - len(node[i]) + 1 for i in (0, 1)]
         assert new_top[1:] == up_top[replaced[0]:]
         assert new_bottom[1:] == up_bottom[replaced[1]:]
-        assert lab._gone(up, node) == [
+        assert lab._gone(tag, up) == [
             (up[2], p, q, is_top)
             for i, is_top in ((0, True), (1, False))
             for p, q in list(_block_spans(up[i]))[: replaced[i]]
         ]
-        assert lab._made(up, node) == [
+        assert lab._made(tag, node) == [
             (node[2], 1, node[i][0], is_top) for i, is_top in ((0, True), (1, False))
         ]
     assert 2 * flips + 1 == sum(FROBENIUS_PER_ORDER)  # all but 1/1 pair off

@@ -324,14 +324,19 @@ def test_index_zero_slice_is_the_frobenius_tree_in_order():
 
 def _assert_each_parent_is_the_down_step(entries):
     """The parent of an entry at depth d, the last entry before it at depth
-    d - 1 or the empty meander at depth 0, is its simplified down-step."""
+    d - 1 or the empty meander at depth 0, is its simplified down-step,
+    whose inverse is the entry's tag; and that up-move, with c = a1 for
+    ~C0, makes the entry from the parent."""
     path = [MeanderType((), ())]
     count = 0
-    for top, bottom, _, depth in entries:
+    for top, bottom, _, depth, tag in entries:
         del path[depth:]
         assert len(path) == depth
         m = MeanderType(top, bottom)
-        assert step_simplified(m)[1] == path[-1]
+        move, parent = step_simplified(m)
+        assert parent == path[-1]
+        assert "~" + move.tag == tag
+        assert apply_up_move(UpMove(tag, top[0] if tag == "~C0" else None), parent) == m
         path.append(m)
         count += 1
     return count
