@@ -29,8 +29,12 @@ while a flip keeps the blocks and swaps their sides.  So _scan keeps the
 current root-to-meander path, one entry per depth, and
 scan_unimodality grows each spectrum from its parent's, measuring only
 the replaced and the made blocks, and scan_block_measures checks each
-block once, at the meander that makes it.  The tests keep the whole-
-meander scans as the slow routes.
+block once, at the meander that makes it.  The potentials come from the
+path too: the kept vertices keep their differences, so the tag says
+which first vertices _child recomputes from the parent's list, and a
+flip, which negates every potential, is a sign on the same list.  No
+scan builds partner arrays or walks a meander.  The tests keep the
+whole-meander scans, each meander walked, as the slow routes.
 
 All scans are exhaustive over their stated range and produce reports that
 are reproducible bit for bit given the same parameters (wall-clock time is
@@ -44,7 +48,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from math import gcd
 
 from .core import (
@@ -55,8 +59,6 @@ from .core import (
     PreconditionError,
     _check_budget,
     _parse_uint,
-    _partners,
-    _walk,
 )
 from .spectrum import SpectrumFlags, _count_block, _elements, classify
 from .winding import _meander_tree, _parameters
@@ -79,12 +81,13 @@ __all__ = [
 GCD_MAX_PAIRS = 4_000_000_000
 
 # Largest n_max of the two Frobenius scans, checked before the walk.  Time
-# grows about 3x per two orders: at 16, 18 and 20, scan_unimodality takes
-# 1.4, 5.2 and 15 s, and scan_block_measures 0.9, 3.4 and 11 s (1 140 541
-# meanders at 20; Python 3.11, shared 2-core host, one run each).  The
-# block scan keeps flat memory (17 MB); the unimodality scan remembers the
-# flags of each distinct spectrum and peaks at 21, 27 and 41 MB.
-SCAN_MAX_ORDER = 20
+# grows about 3x per two orders: at 16, 18, 20 and 22, scan_unimodality
+# takes 0.7, 2.4, 8.0 and 27 s, and scan_block_measures 0.5, 1.8, 6.1 and
+# 21 s (3 660 099 meanders at 22; Python 3.11, shared 2-core host, one run
+# each).  The block scan keeps flat memory (16-17 MB); the unimodality
+# scan remembers the flags of each distinct spectrum and peaks at 21, 27,
+# 41 and 73 MB.
+SCAN_MAX_ORDER = 22
 
 # Largest n_max of five_block_meanders, checked before the walk.  It keeps
 # every five-block meander, about N^4 of them: at 30, 36 and 40 it takes
@@ -297,33 +300,85 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
     return [record for _, _, record in found]
 
 
+def _child(tag: str, up: tuple | None, top: Composition, bottom: Composition) -> tuple:
+    """The node (top, bottom, phi, sign) of the meander top/bottom, which
+    the up-move tag makes from the node up (None for the empty meander).
+    The potential of vertex v is sign * phi[v] up to one constant; only
+    differences are read.  Every vertex the parent hands on keeps its
+    differences (see the spectrum module docstring), so phi is the
+    parent's with the first vertices recomputed.  With b = b1 of the child:
+    ~B0 and ~P0 put b new vertices in front, each the end of a top arc
+    from an old one, and ~R0 puts b slots in front of the vertices after
+    the parent's B1 and fills them by a walk over the child's B1.  ~F0
+    reverses every arc, so it shares its parent's list and negates the
+    sign.  In the index-0 slice ~C0 makes only 1/1."""
+    if tag == "~F0":
+        return top, bottom, up[2], -up[3]
+    if tag == "~C0":
+        return top, bottom, [None, 0], 1
+    _, up_bottom, old, sign = up
+    a, b = top[0], bottom[0]
+    if tag != "~R0":
+        # new vertex i takes the top arc from old vertex a - b + 1 - i,
+        # which points to it
+        phi = old.copy()
+        phi[1:1] = [f + sign for f in old[a - b:a - 2 * b:-1]]
+        return top, bottom, phi, sign
+    # the first a - b slots take top arcs from kept vertices, which point
+    # to them; from each unset one the path runs through the slots, by
+    # bottom and top arcs in turn, until a top arc leaves them or it ends
+    phi = [None] * (b + 1)
+    phi += old[up_bottom[0] + 1:]
+    for i in range(1, a - b + 1):
+        if phi[i] is not None:
+            continue
+        f = phi[a + 1 - i] + sign
+        cur = i
+        while True:
+            phi[cur] = f
+            nxt = b + 1 - cur
+            if nxt == cur:
+                break
+            f += sign if nxt > cur else -sign
+            phi[nxt] = f
+            cur = a + 1 - nxt
+            if cur == nxt or cur > b:
+                break
+            f += sign if cur < nxt else -sign
+    return top, bottom, phi, sign
+
+
 def _made(tag: str, node: tuple) -> list:
     """The blocks that the up-move tag makes in its child node, as (phi,
-    p, q, top) arguments of _count_block, each node a (top, bottom, phi)
-    triple of the index-0 slice.  Every up-move but ~F0 makes block 1 of
-    each side; every other block of the child keeps the measures it had
-    in its parent (see the spectrum module docstring).  ~F0 swaps the
-    sides of the same blocks and makes none."""
+    p, q, top) arguments of _count_block, the top block first, each node
+    as _child gives it.  top is the way _count_block reads the block: its
+    side, turned where the node's sign is -1.  Every up-move but ~F0
+    makes block 1 of each side; every other block of the child keeps the
+    measures it had in its parent (see the spectrum module docstring).
+    ~F0 swaps the sides of the same blocks and makes none."""
     if tag == "~F0":
         return []
-    top, bottom, phi = node
-    return [(phi, 1, top[0], True), (phi, 1, bottom[0], False)]
+    top, bottom, phi, sign = node
+    turned = sign < 0
+    return [(phi, 1, top[0], not turned), (phi, 1, bottom[0], turned)]
 
 
 def _gone(tag: str, up: tuple | None) -> list:
     """The blocks of the parent up that the non-flip up-move tag replaces,
-    as _made gives them but with the phi of up: none for ~C0, which puts
-    its blocks in front of all others, top block 1 for ~B0, top blocks 1
-    and 2 for ~P0, which merges them, and top and bottom block 1 for ~R0."""
+    as _made gives them but with the phi and sign of up: none for ~C0,
+    which puts its blocks in front of all others, top block 1 for ~B0,
+    top blocks 1 and 2 for ~P0, which merges them, and top and bottom
+    block 1 for ~R0."""
     if tag == "~C0":
         return []
-    top, bottom, phi = up
+    top, bottom, phi, sign = up
+    turned = sign < 0
     a1 = top[0]
-    gone = [(phi, 1, a1, True)]
+    gone = [(phi, 1, a1, not turned)]
     if tag == "~P0":
-        gone.append((phi, a1 + 1, a1 + top[1], True))
+        gone.append((phi, a1 + 1, a1 + top[1], not turned))
     elif tag == "~R0":
-        gone.append((phi, 1, bottom[0], False))
+        gone.append((phi, 1, bottom[0], turned))
     return gone
 
 
@@ -349,32 +404,28 @@ def _grow(dims: dict, tag: str, up: tuple | None, node: tuple) -> dict:
     return dims
 
 
-def _scan(kind: str, n_max: int, visit) -> ScanReport:
+def _scan(kind: str, n_max: int, visit, state) -> ScanReport:
     """Report the records of visit(tag, up, state, node) for every
     Frobenius meander of order <= n_max, as the counterexamples of a scan
     of the given kind.  The walk keeps the current tree path, one (node,
-    state) per depth: node is (top, bottom, phi), up the parent's node or
-    None, tag the up-move from up, and state what visit returned at up or
-    the empty spectrum {}; visit returns (state, records).  phi comes from
-    one walk of the meander, except at a flip: that walks the path of its
-    parent with every arc reversed, so it negates each potential.  An
-    n_max over SCAN_MAX_ORDER raises PreconditionError before the walk."""
+    state) per depth: node is what _child makes from up, the parent's
+    node or None, by tag, the up-move from up, and state what visit
+    returned at up, or the given state at the root; visit returns (state,
+    records).  No meander is walked: each node's potentials come from its
+    parent's.  An n_max over SCAN_MAX_ORDER raises PreconditionError
+    before the walk."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     _check_budget("order", n_max, SCAN_MAX_ORDER, "scan")
     t0 = time.monotonic()
     found = []
     checked = 0
-    path: list = [(None, {})]
+    path: list = [(None, state)]
     for top, bottom, _, depth, tag in _meander_tree(n_max, 0, 2 * n_max):
         checked += 1
         del path[depth:]
         up, state = path[-1]
-        if tag == "~F0":
-            phi = [None] + [-f for f in islice(up[2], 1, None)]
-        else:
-            phi = _walk(*_partners(top, bottom))[0]
-        node = (top, bottom, phi)
+        node = _child(tag, up, top, bottom)
         state, records = visit(tag, up, state, node)
         path.append((node, state))
         if records:
@@ -409,30 +460,34 @@ def scan_unimodality(n_max: int) -> ScanReport:
 
     Each spectrum is grown from its parent's along the tree, measuring only
     the blocks the up-move replaced and made; a flip has the spectrum of
-    its parent.  Counterexamples to unimodality or strict unimodality are
-    collected in the report; symmetry or unbrokenness failures are
-    impossible for correct code and therefore raise.
+    its parent, and so its flags.  Counterexamples to unimodality or
+    strict unimodality are collected in the report; symmetry or
+    unbrokenness failures are impossible for correct code and therefore
+    raise.
     """
     shape = _classifier()
 
-    def visit(tag: str, up: tuple | None, dims: dict, node: tuple):
-        dims = _grow(dims, tag, up, node)
-        flags = shape(dims)
-        top, bottom, _ = node
+    def visit(tag: str, up: tuple | None, state: tuple, node: tuple):
+        if tag == "~F0":
+            dims, flags = state
+        else:
+            dims = _grow(state[0], tag, up, node)
+            flags = shape(dims)
+        top, bottom, *_ = node
         if not (flags.symmetric and flags.unbroken):
             raise ConsistencyError(
                 f"symmetric/unbroken violated at {MeanderType(top, bottom)}: {dims}"
             )
         if flags.unimodal and flags.strictly_unimodal:
-            return dims, ()
-        return dims, [{
+            return (dims, flags), ()
+        return (dims, flags), [{
             "meander": str(MeanderType(top, bottom)),
             "spectrum": {str(e): d for e, d in sorted(dims.items())},
             "unimodal": flags.unimodal,
             "strictly_unimodal": flags.strictly_unimodal,
         }]
 
-    return _scan("unimodality", n_max, visit)
+    return _scan("unimodality", n_max, visit, ({}, None))
 
 
 def scan_block_measures(n_max: int) -> ScanReport:
@@ -447,21 +502,21 @@ def scan_block_measures(n_max: int) -> ScanReport:
     shape = _classifier()
 
     def visit(tag: str, up, _, node: tuple):
-        top, bottom, _ = node
+        top, bottom, *_ = node
         records = []
-        for phi, p, q, is_top in _made(tag, node):
-            dims = _count_block(phi, p, q, is_top, {})
+        for side, block in zip(("top", "bottom"), _made(tag, node)):
+            dims = _count_block(*block, {})
             flags = shape(dims)
             if not (flags.symmetric and flags.unbroken):
                 records.append({
                     "meander": str(MeanderType(top, bottom)),
-                    "side": "top" if is_top else "bottom",
+                    "side": side,
                     "block": 1,
                     "measures": list(_elements(dims)),
                 })
         return None, records
 
-    return _scan("block-measures", n_max, visit)
+    return _scan("block-measures", n_max, visit, None)
 
 
 _CONFIG_KEYS = ("max_coef", "n_max", "sample_size", "seed")

@@ -66,6 +66,11 @@ points as it did counts as it did.
   walks the path from the same end.  A top block read right to left
   becomes a bottom block read left to right, so each block keeps its
   measures on the other side, and the spectrum is the parent's.
+
+The kept differences are what the lab scans reuse: a child's potentials
+are its parent's on every vertex after the child's bottom block 1, only
+the vertices of that block are set afresh, and a flip's are its
+parent's with the sign turned.
 """
 
 from __future__ import annotations

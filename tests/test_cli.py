@@ -505,16 +505,15 @@ def test_every_exit_three_is_one_consistency_line(monkeypatch):
 def test_a_broken_spectrum_in_the_unimodality_scan_exits_three(monkeypatch):
     # the skew of test_scan_block_measures_reports_a_broken_block: the
     # spectrum of 3/1|2 is then not symmetric, which only a bug can cause
-    real = lab._walk
-    partners = lab._partners((3,), (1, 2))
+    real = lab._child
 
-    def skewed(tp, bp):
-        phi, root, cycles, paths = real(tp, bp)
-        if (tp, bp) == partners:
-            phi[1] += 2
-        return phi, root, cycles, paths
+    def skewed(tag, up, top, bottom):
+        node = real(tag, up, top, bottom)
+        if (top, bottom) == ((3,), (1, 2)):
+            node[2][1] += 2 * node[3]  # the potential is sign * phi
+        return node
 
-    monkeypatch.setattr(lab, "_walk", skewed)
+    monkeypatch.setattr(lab, "_child", skewed)
     code, out, err = call("search", "unimodality", "--n-max", "4")
     assert (code, out) == (3, "") and err.count("\n") == 1
     assert err.startswith("internal consistency failure: symmetric/unbroken violated at 3/1|2: ")

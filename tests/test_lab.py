@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import os
@@ -28,7 +29,7 @@ from meanderkit.lab import (
     _scan_slice,
     _size_vectors,
 )
-from meanderkit.spectrum import _count_block, _elements, _spectrum_raw, classify
+from meanderkit.spectrum import SpectrumFlags, _count_block, _elements, _spectrum_raw, classify
 from meanderkit.winding import (
     UpMove,
     _meander_tree,
@@ -224,19 +225,20 @@ def test_scan_block_measures_reports_a_broken_block(monkeypatch):
     # the scan measures each block once, at the meander whose up-move makes
     # it: the bottom block 3 of 1|2/3 is top block 1 of 3/1|2, and 1|2/3 is
     # the flip child of 3/1|2, which the scan does not measure again.  So
-    # the skew goes into the walk of 3/1|2: raising phi(1) by 2 turns the
-    # measures -1, 0, 1, 2 of that block into -1, 0, 3, 4, a counterexample
-    # reported with its measures sorted
-    real = lab._walk
-    partners = lab._partners((3,), (1, 2))
+    # the skew goes into the potentials that 3/1|2 derives as the ~P0 child
+    # of 1|1/2: raising phi(1) by 2 turns the measures -1, 0, 1, 2 of that
+    # block into -1, 0, 3, 4, a counterexample reported with its measures
+    # sorted
+    real = lab._child
 
-    def skewed(tp, bp):
-        phi, root, cycles, paths = real(tp, bp)
-        if (tp, bp) == partners:
-            phi[1] += 2
-        return phi, root, cycles, paths
+    def skewed(tag, up, top, bottom):
+        node = real(tag, up, top, bottom)
+        if (top, bottom) == ((3,), (1, 2)):
+            assert (tag, up[:2]) == ("~P0", ((1, 1), (2,)))
+            node[2][1] += 2 * node[3]  # the potential is sign * phi
+        return node
 
-    monkeypatch.setattr(lab, "_walk", skewed)
+    monkeypatch.setattr(lab, "_child", skewed)
     report = scan_block_measures(4)
     assert report.counterexamples == [
         {"meander": "3/1|2", "side": "top", "block": 1, "measures": [-1, 0, 3, 4]}
@@ -303,16 +305,60 @@ def _node(top, bottom):
     return top, bottom, _walk(*_partners(top, bottom))[0]
 
 
+def _walk_agrees(node):
+    """The potentials of a walk of node's own meander, once checked against
+    the ones node derived: sign * phi is the walk's phi plus one constant."""
+    top, bottom, phi, sign = node
+    walked = _node(top, bottom)[2]
+    assert len(phi) == len(walked) == sum(top) + 1, node
+    assert len({sign * f - w for f, w in zip(phi[1:], walked[1:])}) == 1, node
+    return walked
+
+
+def test_derived_potentials_match_the_walk_to_order_12():
+    # the scan's own path keeping: every node's potentials, derived from its
+    # parent's, against a walk of its own
+    tags = {}
+
+    def visit(tag, up, _, node):
+        _walk_agrees(node)
+        if tag == "~R0" and up[0][0] < 2 * up[1][0]:
+            tag = "~R0 chained"  # d < b1 slots: the walk over B1 chains
+        tags[tag] = tags.get(tag, 0) + 1
+        return None, ()
+
+    assert lab._scan("derived", 12, visit, None).checked == 8609
+    assert set(tags) == {"~C0", "~F0", "~B0", "~P0", "~R0", "~R0 chained"}
+    assert tags["~C0"] == 1 and tags["~R0 chained"] > 400
+
+
+def test_rotation_slots_are_filled_by_a_chained_walk():
+    # ~R0 takes 6/4|1|1 (a1 = 6 < 2 b1) to 8/6|1|1.  From entry vertex 1
+    # the path runs 1, 6, 3, 4, 5, 2 through all six slots, by bottom and
+    # top arcs in turn, the last two against their orientation, and leaves
+    # by the top arc of the other entry vertex, 2, which is then set; either
+    # sign of the parent gives the same potentials
+    parent = _node((6,), (4, 1, 1))
+    walked = _node((8,), (6, 1, 1))[2]
+    for sign in (1, -1):
+        up = (*parent[:2], [None] + [sign * f for f in parent[2][1:]], sign)
+        node = lab._child("~R0", up, (8,), (6, 1, 1))
+        assert node[3] == sign and node[2][7:] == up[2][5:]
+        rise = [sign * (node[2][v] - node[2][1]) for v in (1, 6, 3, 4, 5, 2)]
+        assert rise == [0, 1, 2, 3, 2, 1]
+        assert _walk_agrees(node) == walked
+
+
 def test_grown_spectra_match_the_raw_spectrum_to_order_12():
     # the scan's own path keeping, with a fresh walk and a whole spectrum
     # beside every grown one
     def visit(tag, up, dims, node):
         dims = lab._grow(dims, tag, up, node)
-        top, bottom, _ = node
+        top, bottom, *_ = node
         raw = _spectrum_raw(_node(top, bottom)[2], top, bottom)
         return dims, [] if dims == raw else [str(MeanderType(top, bottom))]
 
-    report = lab._scan("grown", 12, visit)
+    report = lab._scan("grown", 12, visit, {})
     assert report.checked == 8609
     assert report.counterexamples == []
 
@@ -338,9 +384,9 @@ def test_grown_spectra_match_along_random_paths_to_order_20():
         up, dims = None, {}
         tag, top, bottom = "~C0", (1,), (1,)
         while True:
-            node = _node(top, bottom)
+            node = lab._child(tag, up, top, bottom)
             dims = lab._grow(dims, tag, up, node)
-            assert dims == _spectrum_raw(node[2], top, bottom), node
+            assert dims == _spectrum_raw(_walk_agrees(node), top, bottom), node
             nodes += 1
             children = _children(top, bottom, 20)
             if not children:
@@ -362,40 +408,100 @@ def _block_multisets(node):
 
 
 def test_every_edge_keeps_the_blocks_it_does_not_make():
-    # the lemma the incremental scans rest on, on every edge to order 10
-    path = [((), (), [None])]  # the empty meander, with a phi of order 0
+    # the lemma the incremental scans rest on, on every edge to order 10,
+    # each walked node beside the one _child derives from its parent's
+    path = [(((), (), [None]), None)]  # the empty meander, with a phi of order 0
     flips = 0
     for top, bottom, _, depth, tag in _meander_tree(10, 0, 20):
         del path[depth:]
-        up = path[-1]
+        up, derived_up = path[-1]
         node = _node(top, bottom)
-        path.append(node)
+        derived = lab._child(tag, derived_up, top, bottom)
+        path.append((node, derived))
         up_top, up_bottom = _block_multisets(up)
         new_top, new_bottom = _block_multisets(node)
         assert (tag == "~F0") == (sum(top) == sum(up[0]))
         if tag == "~F0":
             # a flip: the same blocks with the sides swapped, every
-            # potential negated, and so the same spectrum
+            # potential negated, and so the same spectrum; the derived
+            # child shares its parent's list and turns the sign
             flips += 1
             assert (new_top, new_bottom) == (up_bottom, up_top)
             assert node[2][1:] == [-f for f in up[2][1:]]
+            assert derived[2] is derived_up[2] and derived[3] == -derived_up[3]
             assert _spectrum_raw(node[2], top, bottom) == _spectrum_raw(up[2], *up[:2])
-            assert lab._made(tag, node) == []
+            assert lab._made(tag, derived) == []
             continue
         # any other move replaces the first len(old) - len(new) + 1 blocks
         # of each side and makes block 1 of each side; the rest keep theirs
         replaced = [len(up[i]) - len(node[i]) + 1 for i in (0, 1)]
         assert new_top[1:] == up_top[replaced[0]:]
         assert new_bottom[1:] == up_bottom[replaced[1]:]
-        assert lab._gone(tag, up) == [
-            (up[2], p, q, is_top)
+        # each block read as its side says, turned where the sign is -1
+        assert lab._gone(tag, derived_up) == [
+            (derived_up[2], p, q, is_top != (derived_up[3] < 0))
             for i, is_top in ((0, True), (1, False))
             for p, q in list(_block_spans(up[i]))[: replaced[i]]
         ]
-        assert lab._made(tag, node) == [
-            (node[2], 1, node[i][0], is_top) for i, is_top in ((0, True), (1, False))
+        assert lab._made(tag, derived) == [
+            (derived[2], 1, node[i][0], is_top != (derived[3] < 0))
+            for i, is_top in ((0, True), (1, False))
         ]
     assert 2 * flips + 1 == sum(FROBENIUS_PER_ORDER)  # all but 1/1 pair off
+
+
+def test_block_sides_are_real_below_a_flip(monkeypatch):
+    # with every multiset rejected, the block scan reports block 1 of each
+    # side of every meander that is not a flip child, as the slow route
+    # does; below an odd number of flips a block is read turned, but its
+    # record names the side it lies on
+    def reject(dims):
+        return SpectrumFlags(False, False, True, True)
+
+    monkeypatch.setattr(lab, "classify", reject)
+    monkeypatch.setitem(globals(), "classify", reject)  # for the slow route
+    tags = {(top, bottom): tag for top, bottom, _, _, tag in _meander_tree(4, 0, 8)}
+
+    def made(top, bottom):
+        if tags[(top, bottom)] != "~F0":
+            yield from (r for r in _slow_block_measures(top, bottom) if r["block"] == 1)
+
+    fast = scan_block_measures(4).payload()
+    assert fast == _slow_scan("block-measures", 4, made).payload()
+    assert len(fast["counterexamples"]) == 2 * 12  # 23 meanders, 11 of them flips
+
+    def turned(tag, up, _, node):
+        return None, [] if node[3] > 0 or tag == "~F0" else [node[:2]]
+
+    # 3/1|2, the ~P0 child of 1|1/2, the flip child of 2/1|1, among others
+    assert lab._scan("turned", 4, turned, None).counterexamples == [
+        ((2, 1), (1, 2)), ((3,), (1, 2)), ((3, 1), (2, 2)), ((4,), (1, 1, 2)), ((4,), (1, 3))
+    ]
+
+
+def test_the_scans_walk_no_meander(monkeypatch):
+    # every node's potentials come from its parent's, so neither scan
+    # builds partner arrays or walks them, by core or by any module that
+    # holds the two; the counters count, as one spectrum shows
+    modules = [importlib.import_module(f"meanderkit.{m}") for m in ("core", "spectrum", "winding")]
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    assert not hasattr(lab, "_walk") and not hasattr(lab, "_partners")
+    for module in modules:
+        for name in ("_partners", "_walk"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert scan_unimodality(10).checked == scan_block_measures(10).checked == 2297
+    assert calls == []
+    modules[1].spectrum(MeanderType((1, 2), (3,)))
+    assert calls == ["_partners", "_walk"]
 
 
 def test_report_json_round_trip():
