@@ -85,7 +85,7 @@ class ConsistencyError(MeanderError):
 
 def _check_composition(parts: Composition, side: str) -> None:
     for p in parts:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ParseError(f"{side} composition has a non-positive part: {parts}")
 
 

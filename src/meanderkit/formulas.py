@@ -76,27 +76,24 @@ def index_four_block(t: FourBlockType) -> int:
 def family_parabolic(a: int, k: int, b: int) -> MeanderType:
     """k copies of a then b on top, their sum below; Frobenius by construction.
 
-    Requires a even and gcd(a, b) == 1.  The k + 1 top blocks are checked
-    against core.WALK_MAX_ORDER before any tuple is built: a meander with
-    more blocks than that is over the walk budget too.
+    Requires a even, k >= 1 and gcd(a, b) == 1, checked in that order.  It
+    is family_biparabolic with no copies of a below, which checks b and
+    the k + 1 top blocks against core.WALK_MAX_ORDER before any tuple is
+    built: a meander with more blocks than that is over the walk budget too.
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    if b < 1 or gcd(a, b) != 1:
-        raise PreconditionError(f"b must be positive with gcd(a, b) == 1, got b={b}")
-    _check_budget("block count", k + 1, WALK_MAX_ORDER, "walk")
-    top = (a,) * k + (b,)
-    return MeanderType(top, (k * a + b,))
+    return family_biparabolic(a, b, k, 0)
 
 
 def family_biparabolic(a: int, b: int, k: int, bottom_copies: int) -> MeanderType:
     """Top a|...|a|b over (b+ka)|a|...|a; Frobenius by construction.
 
     The top copy count is k + bottom_copies, forced by the equal-sum
-    constraint.  The top blocks, the larger side, meet the budget of
-    family_parabolic.
+    constraint.  The top blocks, the larger side, are checked against
+    core.WALK_MAX_ORDER before any tuple is built.
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")

@@ -22,18 +22,18 @@ slice.  So each costs in proportion to the meanders it checks rather than
 to all 4^(n-1) pairs of order n.
 
 The two Frobenius scans are incremental along that tree, whose walk names
-the up-move of each edge.  A non-flip up-move replaces only first blocks
-of its parent, which its tag says, and makes block 1 of each side, and
-every other block keeps its measures (see the spectrum module docstring),
-while a flip keeps the blocks and swaps their sides.  So _scan keeps the
-current root-to-meander path, one entry per depth, and
-scan_unimodality grows each spectrum from its parent's, measuring only
-the replaced and the made blocks, and scan_block_measures checks each
-block once, at the meander that makes it.  The potentials come from the
-path too: the kept vertices keep their differences, so the tag says
-which first vertices _child recomputes from the parent's list, and a
-flip, which negates every potential, is a sign on the same list.  No
-scan builds partner arrays or walks a meander.  The tests keep the
+the up-move of each edge.  One switch on that tag, _child, gives the
+edge's node, the blocks its up-move makes and the blocks of the parent it
+replaces; every other block keeps its measures (see the spectrum module
+docstring), and a flip makes and replaces none.  _scan keeps the current
+root-to-meander path, one entry per depth, and hands each visit the node
+with its made and gone blocks: scan_unimodality grows each spectrum from
+its parent's, measuring only those blocks, and scan_block_measures checks
+each block once, at the meander that makes it.  The potentials come from
+the path too: the kept vertices keep their differences, so _child
+recomputes only the first vertices from the parent's list, and a flip,
+which negates every potential, is a sign on the same list.  No scan
+builds partner arrays or walks a meander.  The tests keep the
 whole-meander scans, each meander walked, as the slow routes.
 
 All scans are exhaustive over their stated range and produce reports that
@@ -301,96 +301,73 @@ def _in_scan_order(found: list[tuple[Composition, Composition, dict]]) -> list[d
 
 
 def _child(tag: str, up: tuple | None, top: Composition, bottom: Composition) -> tuple:
-    """The node (top, bottom, phi, sign) of the meander top/bottom, which
-    the up-move tag makes from the node up (None for the empty meander).
-    The potential of vertex v is sign * phi[v] up to one constant; only
-    differences are read.  Every vertex the parent hands on keeps its
-    differences (see the spectrum module docstring), so phi is the
-    parent's with the first vertices recomputed.  With b = b1 of the child:
-    ~B0 and ~P0 put b new vertices in front, each the end of a top arc
-    from an old one, and ~R0 puts b slots in front of the vertices after
-    the parent's B1 and fills them by a walk over the child's B1.  ~F0
-    reverses every arc, so it shares its parent's list and negates the
-    sign.  In the index-0 slice ~C0 makes only 1/1."""
+    """(node, made, gone) of the edge by which the up-move tag makes the
+    meander top/bottom from the node up (None for the empty meander): the
+    one switch on the tag.  node is (top, bottom, phi, sign), the
+    potential of vertex v being sign * phi[v] up to one constant; only
+    differences are read.  made and gone are the blocks the up-move makes
+    in node and replaces in up, as (phi, p, q, top) arguments of
+    _count_block, top turned where the sign is -1; every other block
+    keeps its measures (see the spectrum module docstring).  ~F0 reverses
+    every arc: it shares the parent's list, negates the sign and makes no
+    block.  In the index-0 slice ~C0 makes only 1/1, two blocks of size 1.
+    Every other move makes block 1 of each side and replaces top block 1
+    (~B0), top blocks 1 and 2, which it merges (~P0), or top and bottom
+    block 1 (~R0); the vertices it hands on keep their differences, so phi
+    is the parent's with the first vertices recomputed.  With b = b1 of
+    the child: ~B0 and ~P0 put b new vertices in front, each the end of a
+    top arc from an old one, and ~R0 puts b slots in front of the vertices
+    after the parent's B1 and fills them by a walk over the child's B1."""
     if tag == "~F0":
-        return top, bottom, up[2], -up[3]
+        return (top, bottom, up[2], -up[3]), (), ()
     if tag == "~C0":
-        return top, bottom, [None, 0], 1
-    _, up_bottom, old, sign = up
-    a, b = top[0], bottom[0]
+        phi = [None, 0]
+        return (top, bottom, phi, 1), ((phi, 1, 1, True), (phi, 1, 1, False)), ()
+    up_top, up_bottom, old, sign = up
+    turned = sign < 0
+    a, b, a1 = top[0], bottom[0], up_top[0]
+    gone = [(old, 1, a1, not turned)]
     if tag != "~R0":
+        if tag == "~P0":
+            gone.append((old, a1 + 1, a1 + up_top[1], not turned))
         # new vertex i takes the top arc from old vertex a - b + 1 - i,
         # which points to it
         phi = old.copy()
         phi[1:1] = [f + sign for f in old[a - b:a - 2 * b:-1]]
-        return top, bottom, phi, sign
-    # the first a - b slots take top arcs from kept vertices, which point
-    # to them; from each unset one the path runs through the slots, by
-    # bottom and top arcs in turn, until a top arc leaves them or it ends
-    phi = [None] * (b + 1)
-    phi += old[up_bottom[0] + 1:]
-    for i in range(1, a - b + 1):
-        if phi[i] is not None:
-            continue
-        f = phi[a + 1 - i] + sign
-        cur = i
-        while True:
-            phi[cur] = f
-            nxt = b + 1 - cur
-            if nxt == cur:
-                break
-            f += sign if nxt > cur else -sign
-            phi[nxt] = f
-            cur = a + 1 - nxt
-            if cur == nxt or cur > b:
-                break
-            f += sign if cur < nxt else -sign
-    return top, bottom, phi, sign
+    else:
+        gone.append((old, 1, up_bottom[0], turned))
+        # the first a - b slots take top arcs from kept vertices, which
+        # point to them; from each unset one the path runs through the
+        # slots, by bottom and top arcs in turn, until a top arc leaves
+        # them or it ends
+        phi = [None] * (b + 1)
+        phi += old[up_bottom[0] + 1:]
+        for i in range(1, a - b + 1):
+            if phi[i] is not None:
+                continue
+            f = phi[a + 1 - i] + sign
+            cur = i
+            while True:
+                phi[cur] = f
+                nxt = b + 1 - cur
+                if nxt == cur:
+                    break
+                f += sign if nxt > cur else -sign
+                phi[nxt] = f
+                cur = a + 1 - nxt
+                if cur == nxt or cur > b:
+                    break
+                f += sign if cur < nxt else -sign
+    made = ((phi, 1, a, not turned), (phi, 1, b, turned))
+    return (top, bottom, phi, sign), made, gone
 
 
-def _made(tag: str, node: tuple) -> list:
-    """The blocks that the up-move tag makes in its child node, as (phi,
-    p, q, top) arguments of _count_block, the top block first, each node
-    as _child gives it.  top is the way _count_block reads the block: its
-    side, turned where the node's sign is -1.  Every up-move but ~F0
-    makes block 1 of each side; every other block of the child keeps the
-    measures it had in its parent (see the spectrum module docstring).
-    ~F0 swaps the sides of the same blocks and makes none."""
-    if tag == "~F0":
-        return []
-    top, bottom, phi, sign = node
-    turned = sign < 0
-    return [(phi, 1, top[0], not turned), (phi, 1, bottom[0], turned)]
-
-
-def _gone(tag: str, up: tuple | None) -> list:
-    """The blocks of the parent up that the non-flip up-move tag replaces,
-    as _made gives them but with the phi and sign of up: none for ~C0,
-    which puts its blocks in front of all others, top block 1 for ~B0,
-    top blocks 1 and 2 for ~P0, which merges them, and top and bottom
-    block 1 for ~R0."""
-    if tag == "~C0":
-        return []
-    top, bottom, phi, sign = up
-    turned = sign < 0
-    a1 = top[0]
-    gone = [(phi, 1, a1, not turned)]
-    if tag == "~P0":
-        gone.append((phi, a1 + 1, a1 + top[1], not turned))
-    elif tag == "~R0":
-        gone.append((phi, 1, bottom[0], turned))
-    return gone
-
-
-def _grow(dims: dict, tag: str, up: tuple | None, node: tuple) -> dict:
-    """The spectrum of node from dims, that of its parent up: dims itself
-    at a flip, which makes no blocks, else a copy less the measures of the
-    blocks _gone plus those of the blocks _made."""
-    made = _made(tag, node)
-    if not made:
-        return dims
+def _grow(dims: dict, made, gone) -> dict:
+    """The spectrum of a node from dims, that of its parent, and the blocks
+    _child says its edge made and replaced: a copy of dims less the
+    measures of gone plus those of made."""
     lost: dict = {}
-    for block in _gone(tag, up):
+    for block in gone:
         _count_block(*block, lost)
     dims = dict(dims)
     for block in made:
@@ -405,13 +382,13 @@ def _grow(dims: dict, tag: str, up: tuple | None, node: tuple) -> dict:
 
 
 def _scan(kind: str, n_max: int, visit, state) -> ScanReport:
-    """Report the records of visit(tag, up, state, node) for every
+    """Report the records of visit(state, node, made, gone) for every
     Frobenius meander of order <= n_max, as the counterexamples of a scan
-    of the given kind.  The walk keeps the current tree path, one (node,
-    state) per depth: node is what _child makes from up, the parent's
-    node or None, by tag, the up-move from up, and state what visit
-    returned at up, or the given state at the root; visit returns (state,
-    records).  No meander is walked: each node's potentials come from its
+    of the given kind.  node, made and gone are what _child gives for the
+    meander's edge from its parent, and state is what visit returned at
+    that parent, or the given state at the root; visit returns (state,
+    records).  The walk keeps the current tree path, one (node, state) per
+    depth, and no meander is walked: each node's potentials come from its
     parent's.  An n_max over SCAN_MAX_ORDER raises PreconditionError
     before the walk."""
     if n_max < 1:
@@ -425,8 +402,8 @@ def _scan(kind: str, n_max: int, visit, state) -> ScanReport:
         checked += 1
         del path[depth:]
         up, state = path[-1]
-        node = _child(tag, up, top, bottom)
-        state, records = visit(tag, up, state, node)
+        node, made, gone = _child(tag, up, top, bottom)
+        state, records = visit(state, node, made, gone)
         path.append((node, state))
         if records:
             found.extend((top, bottom, record) for record in records)
@@ -467,12 +444,12 @@ def scan_unimodality(n_max: int) -> ScanReport:
     """
     shape = _classifier()
 
-    def visit(tag: str, up: tuple | None, state: tuple, node: tuple):
-        if tag == "~F0":
-            dims, flags = state
-        else:
-            dims = _grow(state[0], tag, up, node)
+    def visit(state: tuple, node: tuple, made, gone):
+        if made:
+            dims = _grow(state[0], made, gone)
             flags = shape(dims)
+        else:
+            dims, flags = state
         top, bottom, *_ = node
         if not (flags.symmetric and flags.unbroken):
             raise ConsistencyError(
@@ -501,10 +478,10 @@ def scan_block_measures(n_max: int) -> ScanReport:
     """
     shape = _classifier()
 
-    def visit(tag: str, up, _, node: tuple):
+    def visit(_, node: tuple, made, gone):
         top, bottom, *_ = node
         records = []
-        for side, block in zip(("top", "bottom"), _made(tag, node)):
+        for side, block in zip(("top", "bottom"), made):
             dims = _count_block(*block, {})
             flags = shape(dims)
             if not (flags.symmetric and flags.unbroken):

@@ -394,21 +394,29 @@ def _trace_zero_system(
     return rows + [{c: 1 for c, (i, j) in enumerate(pos) if i == j}]
 
 
+def _frobenius_setup(m: MeanderType) -> tuple[SeaweedPattern, Functional]:
+    """The pattern and canonical functional of m for the two solves, once
+    m is within the dimension budget and then past the Frobenius gate,
+    which walks m and refuses the empty meander too."""
+    _check_dim(m, ORACLE_MAX_DIM, "oracle")
+    _require_frobenius(m)
+    return seaweed_positions(m), canonical_functional(m)
+
+
 def principal_element(m: MeanderType) -> PrincipalElement:
     """Solve F([Fhat, e_ij]) = F(e_ij) over all pattern positions, exactly.
 
     F is the canonical edge functional.  For a Frobenius meander the
     solutions form a line along the identity, and one more equation, trace
     zero, picks one; it is solved mod p, lifted and certified (see the
-    module docstring).  A meander of nonzero index, the empty one included,
-    raises NotFrobeniusError, once the dimension is within the budget.
+    module docstring).  The certified solution must be diagonal, or
+    ConsistencyError is raised.  A meander of nonzero index, the empty one
+    included, raises NotFrobeniusError, once the dimension is within the
+    budget.
     """
-    _check_dim(m, ORACLE_MAX_DIM, "oracle")
-    _require_frobenius(m)
-    pattern = seaweed_positions(m)
+    pattern, f = _frobenius_setup(m)
     pos = pattern.positions
     dim = pattern.dim
-    f = canonical_functional(m)
     # F([Fhat, e_ij]) = -F([e_ij, Fhat]), so the system is K x = -F
     rows = _trace_zero_system(pattern, f, [{q: -v for q, v in f.items()}])
 
@@ -428,22 +436,22 @@ def principal_element(m: MeanderType) -> PrincipalElement:
             return None
         return fhat
 
-    return _first_certified(solve, "principal element")
+    fhat = _first_certified(solve, "principal element")
+    if not fhat.is_diagonal:
+        raise ConsistencyError("principal element is not diagonal")
+    return fhat
 
 
 def ad_spectrum(m: MeanderType) -> Spectrum:
     """Eigenvalues of ad Fhat on the seaweed: differences of diagonal entries.
 
     The multiplicity of 0 is reduced by one, removing the central identity
-    direction of the gl(n) seaweed.  A non-diagonal principal element would
-    invalidate the difference formula and raises ConsistencyError.  A
+    direction of the gl(n) seaweed.  The difference formula needs Fhat
+    diagonal, which principal_element checks.  Its errors pass through: a
     meander of nonzero index, the empty one included, raises
     NotFrobeniusError, once the dimension is within the budget.
     """
-    fhat = principal_element(m)
-    if not fhat.is_diagonal:
-        raise ConsistencyError("principal element is not diagonal")
-    diag = fhat.diagonal()
+    diag = principal_element(m).diagonal()
     dims: Spectrum = {}
     for i, j in seaweed_positions(m).positions:
         e = diag[i - 1] - diag[j - 1]
@@ -488,12 +496,9 @@ def cybe_residual(m: MeanderType) -> bool:
     nonzero index, the empty one included, raises NotFrobeniusError, once
     the dimension is within the budget.
     """
-    _check_dim(m, ORACLE_MAX_DIM, "oracle")
-    _require_frobenius(m)
-    pattern = seaweed_positions(m)
+    pattern, f = _frobenius_setup(m)
     pos = pattern.positions
     dim = pattern.dim
-    f = canonical_functional(m)
 
     def solve(p: int) -> bool | None:
         rng = random.Random(p)

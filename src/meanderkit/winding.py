@@ -198,7 +198,7 @@ class Move:
             raise ParseError(f"unknown move tag {self.tag!r}")
         if (self.c is not None) != (self.tag in _PARAMETRIC):
             raise ParseError(f"move {self.tag} parameter mismatch: {self.c!r}")
-        if self.c is not None and self.c < 1:
+        if self.c is not None and (type(self.c) is not int or self.c < 1):
             raise ParseError(f"move parameter must be positive: {self.c}")
 
     def __str__(self) -> str:
@@ -574,7 +574,7 @@ def _apply_up_raw(
     """
     top, bottom = sides
     if tag in ("~C", "~C0"):
-        if c is None or c < 1:
+        if type(c) is not int or c < 1:
             raise PreconditionError("component creation needs a positive size")
         top.append(c)
         bottom.append(c)
@@ -604,7 +604,7 @@ def _apply_up_raw(
         top[-1] = a1 + 2 * a2
         bottom.append(a2)
     elif tag == "~IC":
-        if c is None or c < 1:
+        if type(c) is not int or c < 1:
             raise PreconditionError("~IC needs a positive size")
         if a1 % 2:
             raise PreconditionError("~IC requires an even first top block")

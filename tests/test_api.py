@@ -236,3 +236,36 @@ def test_no_asserts_in_the_package(path):
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the up-moves that make the edges of the reverse-search tree
+_TREE_TAGS = {"~F0", "~C0", "~B0", "~R0", "~P0"}
+
+
+def _tag_readers(source: str) -> list[str]:
+    """Top-level statements of a module that hold a tree tag as a string
+    constant: a function or class by its name, any other by its line."""
+    return sorted(
+        getattr(node, "name", str(node.lineno))
+        for node in ast.parse(source).body
+        if any(isinstance(c, ast.Constant) and c.value in _TREE_TAGS for c in ast.walk(node))
+    )
+
+
+def test_tag_readers_are_flagged():
+    source = (
+        '"""~F0 in a docstring"""\n'
+        "def f():\n"
+        "    def g(tag):\n"
+        "        return tag == '~R0'\n"
+        "x = ('~P0', '~F')\n"
+        "def h(): return '~F'\n"
+    )
+    assert _tag_readers(source) == ["5", "f"]
+
+
+def test_lab_reads_the_tree_tags_in_one_function():
+    # one switch on the up-move tag: every scan takes what an edge does
+    # from lab._child
+    source = (Path(meanderkit.__file__).parent / "lab.py").read_text(encoding="utf-8")
+    assert _tag_readers(source) == ["_child"]

@@ -508,10 +508,10 @@ def test_a_broken_spectrum_in_the_unimodality_scan_exits_three(monkeypatch):
     real = lab._child
 
     def skewed(tag, up, top, bottom):
-        node = real(tag, up, top, bottom)
+        node, made, gone = real(tag, up, top, bottom)
         if (top, bottom) == ((3,), (1, 2)):
             node[2][1] += 2 * node[3]  # the potential is sign * phi
-        return node
+        return node, made, gone
 
     monkeypatch.setattr(lab, "_child", skewed)
     code, out, err = call("search", "unimodality", "--n-max", "4")
@@ -520,14 +520,17 @@ def test_a_broken_spectrum_in_the_unimodality_scan_exits_three(monkeypatch):
 
 
 def test_a_principal_element_off_the_diagonal_exits_three(monkeypatch):
-    def principal_element(m):
-        return lie.PrincipalElement(m.n, {(1, 1): Fraction(1), (1, 2): Fraction(1)})
+    # a certified solution off the diagonal, which principal_element
+    # refuses for both verbs that read it
+    def first_certified(solve, what):
+        return lie.PrincipalElement(3, {(1, 1): Fraction(1), (1, 2): Fraction(1)})
 
-    monkeypatch.setattr(lie, "principal_element", principal_element)
-    for flags in ([], ["--json"]):
-        assert call("oracle", "principal", "1|2/3", *flags) == (
-            3, "", "internal consistency failure: principal element is not diagonal\n"
-        )
+    monkeypatch.setattr(lie, "_first_certified", first_certified)
+    for sub in ("principal", "spectrum"):
+        for flags in ([], ["--json"]):
+            assert call("oracle", sub, "1|2/3", *flags) == (
+                3, "", "internal consistency failure: principal element is not diagonal\n"
+            )
 
 
 def test_search_order_budgets_and_empty_subsample_exit_two():

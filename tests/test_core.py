@@ -37,6 +37,13 @@ def test_parse_rejects_malformed(bad):
         parse_type(bad)
 
 
+def test_bool_sizes_are_refused():
+    # True == 1, but True|1/2 would not read back
+    for top, bottom in (((True, 1), (2,)), ((2,), (1, True))):
+        with pytest.raises(ParseError):
+            MeanderType(top, bottom)
+
+
 def test_format_round_trip():
     for text in ["1|2/3", "16|2|4/5|17", "1/1"]:
         assert format_type(parse_type(text)) == text

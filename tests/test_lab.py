@@ -232,11 +232,11 @@ def test_scan_block_measures_reports_a_broken_block(monkeypatch):
     real = lab._child
 
     def skewed(tag, up, top, bottom):
-        node = real(tag, up, top, bottom)
+        node, made, gone = real(tag, up, top, bottom)
         if (top, bottom) == ((3,), (1, 2)):
             assert (tag, up[:2]) == ("~P0", ((1, 1), (2,)))
             node[2][1] += 2 * node[3]  # the potential is sign * phi
-        return node
+        return node, made, gone
 
     monkeypatch.setattr(lab, "_child", skewed)
     report = scan_block_measures(4)
@@ -317,15 +317,18 @@ def _walk_agrees(node):
 
 def test_derived_potentials_match_the_walk_to_order_12():
     # the scan's own path keeping: every node's potentials, derived from its
-    # parent's, against a walk of its own
+    # parent's, against a walk of its own; each visit hands its node on as
+    # the state of its children, and the tree names each edge
+    edges = {(top, bottom): tag for top, bottom, _, _, tag in _meander_tree(12, 0, 24)}
     tags = {}
 
-    def visit(tag, up, _, node):
+    def visit(up, node, made, gone):
         _walk_agrees(node)
+        tag = edges[node[:2]]
         if tag == "~R0" and up[0][0] < 2 * up[1][0]:
             tag = "~R0 chained"  # d < b1 slots: the walk over B1 chains
         tags[tag] = tags.get(tag, 0) + 1
-        return None, ()
+        return node, ()
 
     assert lab._scan("derived", 12, visit, None).checked == 8609
     assert set(tags) == {"~C0", "~F0", "~B0", "~P0", "~R0", "~R0 chained"}
@@ -342,7 +345,7 @@ def test_rotation_slots_are_filled_by_a_chained_walk():
     walked = _node((8,), (6, 1, 1))[2]
     for sign in (1, -1):
         up = (*parent[:2], [None] + [sign * f for f in parent[2][1:]], sign)
-        node = lab._child("~R0", up, (8,), (6, 1, 1))
+        node, _, _ = lab._child("~R0", up, (8,), (6, 1, 1))
         assert node[3] == sign and node[2][7:] == up[2][5:]
         rise = [sign * (node[2][v] - node[2][1]) for v in (1, 6, 3, 4, 5, 2)]
         assert rise == [0, 1, 2, 3, 2, 1]
@@ -352,8 +355,8 @@ def test_rotation_slots_are_filled_by_a_chained_walk():
 def test_grown_spectra_match_the_raw_spectrum_to_order_12():
     # the scan's own path keeping, with a fresh walk and a whole spectrum
     # beside every grown one
-    def visit(tag, up, dims, node):
-        dims = lab._grow(dims, tag, up, node)
+    def visit(dims, node, made, gone):
+        dims = lab._grow(dims, made, gone)
         top, bottom, *_ = node
         raw = _spectrum_raw(_node(top, bottom)[2], top, bottom)
         return dims, [] if dims == raw else [str(MeanderType(top, bottom))]
@@ -384,8 +387,8 @@ def test_grown_spectra_match_along_random_paths_to_order_20():
         up, dims = None, {}
         tag, top, bottom = "~C0", (1,), (1,)
         while True:
-            node = lab._child(tag, up, top, bottom)
-            dims = lab._grow(dims, tag, up, node)
+            node, made, gone = lab._child(tag, up, top, bottom)
+            dims = lab._grow(dims, made, gone)
             assert dims == _spectrum_raw(_walk_agrees(node), top, bottom), node
             nodes += 1
             children = _children(top, bottom, 20)
@@ -409,14 +412,15 @@ def _block_multisets(node):
 
 def test_every_edge_keeps_the_blocks_it_does_not_make():
     # the lemma the incremental scans rest on, on every edge to order 10,
-    # each walked node beside the one _child derives from its parent's
+    # each walked node beside the one _child derives from its parent's, and
+    # the blocks _child says the edge makes and replaces beside the walk's
     path = [(((), (), [None]), None)]  # the empty meander, with a phi of order 0
     flips = 0
     for top, bottom, _, depth, tag in _meander_tree(10, 0, 20):
         del path[depth:]
         up, derived_up = path[-1]
         node = _node(top, bottom)
-        derived = lab._child(tag, derived_up, top, bottom)
+        derived, made, gone = lab._child(tag, derived_up, top, bottom)
         path.append((node, derived))
         up_top, up_bottom = _block_multisets(up)
         new_top, new_bottom = _block_multisets(node)
@@ -430,7 +434,7 @@ def test_every_edge_keeps_the_blocks_it_does_not_make():
             assert node[2][1:] == [-f for f in up[2][1:]]
             assert derived[2] is derived_up[2] and derived[3] == -derived_up[3]
             assert _spectrum_raw(node[2], top, bottom) == _spectrum_raw(up[2], *up[:2])
-            assert lab._made(tag, derived) == []
+            assert made == gone == ()
             continue
         # any other move replaces the first len(old) - len(new) + 1 blocks
         # of each side and makes block 1 of each side; the rest keep theirs
@@ -438,12 +442,12 @@ def test_every_edge_keeps_the_blocks_it_does_not_make():
         assert new_top[1:] == up_top[replaced[0]:]
         assert new_bottom[1:] == up_bottom[replaced[1]:]
         # each block read as its side says, turned where the sign is -1
-        assert lab._gone(tag, derived_up) == [
+        assert list(gone) == [
             (derived_up[2], p, q, is_top != (derived_up[3] < 0))
             for i, is_top in ((0, True), (1, False))
             for p, q in list(_block_spans(up[i]))[: replaced[i]]
         ]
-        assert lab._made(tag, derived) == [
+        assert list(made) == [
             (derived[2], 1, node[i][0], is_top != (derived[3] < 0))
             for i, is_top in ((0, True), (1, False))
         ]
@@ -470,8 +474,8 @@ def test_block_sides_are_real_below_a_flip(monkeypatch):
     assert fast == _slow_scan("block-measures", 4, made).payload()
     assert len(fast["counterexamples"]) == 2 * 12  # 23 meanders, 11 of them flips
 
-    def turned(tag, up, _, node):
-        return None, [] if node[3] > 0 or tag == "~F0" else [node[:2]]
+    def turned(_, node, made, gone):
+        return None, [] if node[3] > 0 or not made else [node[:2]]
 
     # 3/1|2, the ~P0 child of 1|1/2, the flip child of 2/1|1, among others
     assert lab._scan("turned", 4, turned, None).counterexamples == [

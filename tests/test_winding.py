@@ -8,6 +8,7 @@ from meanderkit import (
     FourBlockType,
     MeanderType,
     Move,
+    ParseError,
     PreconditionError,
     WindUpError,
     UpMove,
@@ -205,6 +206,25 @@ def test_wind_up_reports_failing_step():
     with pytest.raises(WindUpError) as exc:
         wind_up(parse_up_moves("~C(2) ~R"))
     assert exc.value.step == 2
+
+
+def test_a_bool_move_parameter_is_refused():
+    # True == 1, but C0(True) would not read back
+    with pytest.raises(ParseError):
+        Move("C0", True)
+
+
+def test_bool_up_move_sizes_are_refused():
+    # True == 1, but True/True would not read back
+    for moves in (
+        [UpMove("~C0", c=True)],
+        [UpMove("~C", c=True)],
+        [UpMove("~C0", 1), UpMove("~B0"), UpMove("~IC", c=True)],  # ~IC(1) takes 2/1|1
+    ):
+        with pytest.raises(WindUpError, match="positive size") as exc:
+            wind_up(moves)
+        assert exc.value.step == len(moves)
+    assert wind_up([UpMove("~C0", 1), UpMove("~B0"), UpMove("~IC", c=1)]).n == 3
 
 
 def test_up_move_text_round_trip():
