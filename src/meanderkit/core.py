@@ -47,11 +47,11 @@ __all__ = [
     "index_naive",
 ]
 
-# Most vertices index_naive and build_graph walk; spectrum.SPECTRUM_MAX_DIM
-# bounds the order too.  At it (Python 3.11, shared 2-core host, peak RSS)
-# `index --verify` takes 1.2 s at 510 MB on 1|3999999/4000000, whose walk
-# holds a potential per vertex, and 9-12 s at 450 MB on 2|2|...|2/1|2|...|2|1,
-# in parsing and 8 000 000 one-move runs.
+# Most vertices index_naive and build_graph walk; spectrum and
+# block_measures stop lower, at spectrum.SPECTRUM_MAX_ORDER.  At it (Python
+# 3.11, shared 2-core host, peak RSS) `index --verify` takes 1.2 s at 510 MB
+# on 1|3999999/4000000, whose walk holds a potential per vertex, and 9-12 s
+# at 450 MB on 2|2|...|2/1|2|...|2|1, in parsing and 8 000 000 one-move runs.
 WALK_MAX_ORDER = 4_000_000
 
 # A composition is an ordered tuple of positive block sizes.  The empty tuple

@@ -475,6 +475,13 @@ def scan_block_measures(n_max: int) -> ScanReport:
     makes it; its descendants keep its measures, and a flip makes none.
     This is a proven fact; the report is expected empty and the caller may
     treat any counterexample as fatal.
+
+    The measures come from spectrum._count_block, which reads only the
+    potentials of the block's arc starts and centre and writes every
+    measure with its mirror 1 - e (see the spectrum module docstring).  So
+    the symmetric check now tests only that routine's code, while the
+    unbroken check still tests the potentials _child derives; the tests
+    compare both with the pair loop over walked potentials.
     """
     shape = _classifier()
 

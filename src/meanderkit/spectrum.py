@@ -71,6 +71,32 @@ The kept differences are what the lab scans reuse: a child's potentials
 are its parent's on every vertex after the child's bottom block 1, only
 the vertices of that block are set afresh, and a flip's are its
 parent's with the sign turned.
+
+A block's measures need only the potentials of its arc starts.  Read a
+block of size k in its pair order, right to left in a top block and left
+to right in a bottom one, as x_0, ..., x_(k-1), so that its strict pairs
+are (x_s, x_t) with s < t, of measure x_t - x_s.  Its h = floor(k/2) arcs
+join x_d and x_(k-1-d) for d < h, and each points from its end x_d, its
+start, to the other end in both cases, so x_(k-1-d) = x_d + 1.  With s_d
+the start potential x_d:
+
+* the arc's own pair (x_d, x_(k-1-d)) measures 1, and its diagonal pair
+  adds the 0 that stands for it, so each arc adds one 1 and one 0;
+* two arcs d < e nest, x_d < x_e < x_(k-1-e) < x_(k-1-d) in the order,
+  and with D = s_e - s_d their four cross pairs measure D, D + 1, 1 - D
+  and -D;
+* in an odd block the centre c, at position h, lies between every start
+  and its end, so with E = phi(c) - s_d each arc adds E and 1 - E.
+
+These are all k(k-1)/2 strict pairs: h + 4 h(h-1)/2, and 2h more in an
+odd block.
+The pair part is thus fixed by the histogram of the start potentials,
+whose autocorrelation counts the arc pairs at each difference D; the
+four measures of a pair do not depend on the sign of D.  Each measure
+above comes with its mirror 1 - e: D with 1 - D, -D with 1 + D, 1 with
+0 and E with 1 - E.  So every block multiset, and the spectrum, their
+union, is symmetric about one half by construction, whatever the
+potentials; only its being unbroken depends on them.
 """
 
 from __future__ import annotations
@@ -85,7 +111,6 @@ from .core import (
     PreconditionError,
     _block_spans,
     _check_budget,
-    _check_dim,
     _partners,
     _walk,
 )
@@ -104,12 +129,29 @@ __all__ = [
 # eigenvalue -> dimension of its eigenspace
 Spectrum = dict[int, int]
 
-# Most admissible pairs (the seaweed dimension, at least the order) that
-# spectrum and block_measures accept; above it they raise PreconditionError
-# before the walk of the Frobenius check allocates per vertex.  At
-# it (Python 3.11, shared 2-core host, peak RSS), spectrum of 1154|1155/2309
-# takes 0.6 s at 16 MB, and of 2|...|2/1|2|...|2|1 of order 2e6 3.5-3.8 s at 215 MB.
-SPECTRUM_MAX_DIM = 4_000_000
+# Largest order that spectrum and block_measures accept; above it they
+# raise PreconditionError before the walk of the Frobenius check allocates
+# per vertex.  A block's cost follows its arcs and the range of their start
+# potentials, not its pairs, and the worst input is one block as large as
+# the order, such as N/1|N-1: its two products of N slots of 2-3 bytes
+# each cost superlinear time (Karatsuba).  At it (Python 3.11, shared
+# 2-core host, in process, peak RSS), `spectrum 200000/1|199999` takes
+# 2.6-4.0 s at 109 MB, printing about 400 000 eigenvalues, and
+# 2|...|2/1|2|...|2|1 0.3-0.7 s at 38 MB.
+SPECTRUM_MAX_ORDER = 200_000
+
+# Most measures block_measures lists, a block's strict pairs and its
+# floor(size/2) zeros, checked from the block size: the order budget alone
+# would let one block list about 2e10.  At it (same host), the bottom block
+# of 1|2827/2828 lists 3 998 792 measures in 0.2 s at 48 MB.
+BLOCK_MEASURES_MAX = 4_000_000
+
+# Blocks of at least this many arcs count their arc pairs by one product,
+# smaller ones pair by pair.  Per block (same host, blocks of Frobenius
+# meanders), the loop over the pairs takes 4.7-5.9 us at 5 arcs against
+# 6.0-7.1 us for the product, the two tie at 6 arcs (6.2-6.9 us), and at 15
+# arcs the loop takes 32 us against 7.8 us.
+_PRODUCT_MIN_ARCS = 6
 
 
 @dataclass(frozen=True)
@@ -136,7 +178,7 @@ def admissible_pairs(m: MeanderType) -> list[tuple[int, int]]:
 
 def _require_frobenius(m: MeanderType) -> list[int | None]:
     """phi of m if m is Frobenius, else NotFrobeniusError with the index,
-    both from one walk.  Callers check a dimension budget."""
+    both from one walk.  Callers check an order budget."""
     phi, _, cycles, paths = _walk(*_partners(m.top, m.bottom))
     ix = 2 * cycles + paths - 1
     if ix:
@@ -169,17 +211,67 @@ def _count_block(
 ) -> Spectrum:
     """Add the measures of the block spanning p..q to dims and return it.
 
-    Strict pairs are taken right to left in a top block and left to right
-    in a bottom block, and (q - p + 1) // 2 zeros stand for the diagonal.
-    A block of size 1 adds nothing."""
+    The block is read in its pair order, right to left in a top block and
+    left to right in a bottom block, and only the potentials of its
+    floor(size/2) arc starts and of an odd block's centre are read (see
+    the module docstring): each arc adds 1 and 0, each pair of arcs D,
+    -D, 1 + D and 1 - D for the difference D of their starts, and the
+    centre E and 1 - E per arc.  Below _PRODUCT_MIN_ARCS arcs the pairs
+    are taken one by one; from it on one big-integer product of the start
+    histogram with its reverse (Kronecker substitution, one byte-aligned
+    slot per potential) counts the pairs at every difference at once, in
+    time that follows the range of the starts.  A block of size 1 adds
+    nothing."""
+    h = (q - p + 1) >> 1
+    if not h:
+        return dims
     get = dims.get
-    for i in range(p, q + 1):
-        fi = phi[i]
-        for j in range(p, i) if top else range(i + 1, q + 1):
-            e = phi[j] - fi
+    starts = phi[q:q - h:-1] if top else phi[p:p + h]
+    if h < _PRODUCT_MIN_ARCS:
+        dims[0] = get(0, 0) + h
+        dims[1] = get(1, 0) + h
+        i = 1
+        for s in starts:
+            for t in starts[i:]:
+                d = t - s
+                dims[d] = get(d, 0) + 1
+                dims[-d] = get(-d, 0) + 1
+                dims[d + 1] = get(d + 1, 0) + 1
+                dims[1 - d] = get(1 - d, 0) + 1
+            i += 1
+    else:
+        lo = min(starts)
+        span = max(starts) - lo + 1
+        hist = [0] * span
+        for s in starts:
+            hist[s - lo] += 1
+        # slot D of the upper half of the product counts the ordered pairs
+        # of starts D apart; none exceeds slot 0, the sum of the squared
+        # counts, so slots of that many bits, in whole bytes, never carry
+        width = (sum(c * c for c in hist).bit_length() + 7) >> 3
+        fwd = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in hist]), "little")
+        hist.reverse()
+        rev = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in hist]), "little")
+        both = ((fwd * rev) >> (8 * width * (span - 1))).to_bytes(width * span, "little")
+        # slot 0 counts each start with itself, for its arc's 1 and 0, and
+        # each pair of arcs 0 apart twice, for its measures 0, 0, 1 and 1
+        c = int.from_bytes(both[:width], "little")
+        dims[0] = get(0, 0) + c
+        dims[1] = get(1, 0) + c
+        for d in range(1, span):
+            c = int.from_bytes(both[d * width:(d + 1) * width], "little")
+            if c:
+                dims[d] = get(d, 0) + c
+                dims[-d] = get(-d, 0) + c
+                dims[d + 1] = get(d + 1, 0) + c
+                dims[1 - d] = get(1 - d, 0) + c
+    if not (q - p) & 1:
+        c = phi[p + h]
+        for s in starts:
+            e = c - s
             dims[e] = get(e, 0) + 1
-    if q > p:
-        dims[0] = get(0, 0) + (q - p + 1) // 2
+            e = 1 - e
+            dims[e] = get(e, 0) + 1
     return dims
 
 
@@ -196,10 +288,10 @@ def spectrum(m: MeanderType) -> Spectrum:
     """Measure multiset over admissible pairs, 0-multiplicity reduced by one.
 
     Defined only for Frobenius meanders; anything else, the empty meander
-    (index -1) included, raises NotFrobeniusError, and a dimension over
-    SPECTRUM_MAX_DIM raises PreconditionError before that check.
+    (index -1) included, raises NotFrobeniusError, and an order over
+    SPECTRUM_MAX_ORDER raises PreconditionError before that check.
     """
-    _check_dim(m, SPECTRUM_MAX_DIM, "spectrum")
+    _check_budget("order", m.n, SPECTRUM_MAX_ORDER, "spectrum")
     return _spectrum_raw(_require_frobenius(m), m.top, m.bottom)
 
 
@@ -240,12 +332,16 @@ def block_measures(m: MeanderType, side: str, k: int) -> tuple[int, ...]:
     Strict pairs are taken right-to-left in top blocks and left-to-right in
     bottom blocks, and 0 is included with multiplicity floor(size/2) for the
     diagonal pairs the block accounts for.  Sorted ascending.  Checked as
-    spectrum is."""
+    spectrum is, and a block of more than BLOCK_MEASURES_MAX measures
+    raises PreconditionError before the walk."""
     if side not in ("top", "bottom"):
         raise PreconditionError(f"side must be 'top' or 'bottom', got {side!r}")
-    _check_dim(m, SPECTRUM_MAX_DIM, "spectrum")
-    phi = _require_frobenius(m)
+    _check_budget("order", m.n, SPECTRUM_MAX_ORDER, "spectrum")
     comp = m.top if side == "top" else m.bottom
+    size = comp[k - 1] if 1 <= k <= len(comp) else 0
+    _check_budget("block measure count", size * (size - 1) // 2 + size // 2,
+                  BLOCK_MEASURES_MAX, "spectrum")
+    phi = _require_frobenius(m)
     if not (1 <= k <= len(comp)):
         raise PreconditionError(f"no {side} block {k}")
     p, q = list(_block_spans(comp))[k - 1]

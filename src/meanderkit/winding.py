@@ -184,6 +184,7 @@ ENUMERATE_MAX_ORDER = 20
 SIMPLIFIED_TAGS = ("F0", "C0", "B0", "R0", "P0")
 REFINED_TAGS = ("F", "C", "B", "R", "P", "IC", "IB", "IR")
 _PARAMETRIC = {"C0", "C", "IC"}
+_UP_TAGS = frozenset("~" + tag for tag in SIMPLIFIED_TAGS + REFINED_TAGS)
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,26 @@ class UpMove:
     bottom-block index targeted by ~IB (the block the new block is created
     in front of) and, optionally, by ~IR (the block to expand; when omitted
     it defaults to the block containing the center of the first top block).
+    Both are checked when the move is built, by the rules parse_up_moves
+    reads text with, so every UpMove prints text that reads back.
     """
 
     tag: str
     c: int | None = None
     block: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.tag not in _UP_TAGS:
+            raise ParseError(f"unknown up-move {self.tag!r}")
+        if (self.c is not None) != (self.tag[1:] in _PARAMETRIC):
+            raise ParseError(f"up-move {self.tag} parameter mismatch: {self.c!r}")
+        if self.c is not None and (type(self.c) is not int or self.c < 1):
+            raise ParseError(f"up-move parameter must be positive: {self.c}")
+        # a block is needed on ~IB, allowed on ~IR and refused elsewhere
+        if (self.block is not None) != (self.tag == "~IB") and self.tag != "~IR":
+            raise ParseError(f"up-move {self.tag} block mismatch: {self.block!r}")
+        if self.block is not None and (type(self.block) is not int or self.block < 1):
+            raise ParseError(f"up-move block index must be positive: {self.block}")
 
     def __str__(self) -> str:
         if self.c is not None:
@@ -570,12 +586,12 @@ def _apply_up_raw(
     tag: str, c: int | None, block: int | None, sides: list[list[int]]
 ) -> None:
     """Apply one up-move to the pair sides = [top, bottom] of stacks in
-    place; raises PreconditionError.  A flip reverses sides.
+    place; raises PreconditionError.  A flip reverses sides.  tag, c and
+    block come from an UpMove, checked when it was built, or from
+    _valid_up_moves.
     """
     top, bottom = sides
     if tag in ("~C", "~C0"):
-        if type(c) is not int or c < 1:
-            raise PreconditionError("component creation needs a positive size")
         top.append(c)
         bottom.append(c)
         return
@@ -604,8 +620,6 @@ def _apply_up_raw(
         top[-1] = a1 + 2 * a2
         bottom.append(a2)
     elif tag == "~IC":
-        if type(c) is not int or c < 1:
-            raise PreconditionError("~IC needs a positive size")
         if a1 % 2:
             raise PreconditionError("~IC requires an even first top block")
         k, p, _ = _center_block(a1, bottom, len(bottom) - 1, 1)
@@ -616,8 +630,6 @@ def _apply_up_raw(
         top[-1] = a1 + c
         bottom.insert(k + 1, c)
     elif tag == "~IB":
-        if block is None:
-            raise PreconditionError("~IB needs a target block index")
         if block < 2 or block > len(bottom):
             raise PreconditionError(f"~IB block index {block} out of range")
         # the blocks in front of the target end at vertex p - 1
@@ -652,8 +664,6 @@ def _apply_up_raw(
             )
         top[-1] = a1 + delta
         bottom[k] = bj + delta
-    else:
-        raise PreconditionError(f"unknown up-move tag {tag!r}")
 
 
 def apply_up_move(move: UpMove, m: MeanderType) -> MeanderType:
@@ -869,15 +879,10 @@ def up_moves_to_text(seq: Sequence[UpMove]) -> str:
     return " ".join(str(mv) for mv in seq)
 
 
-_UP_TAGS = frozenset("~" + tag for tag in SIMPLIFIED_TAGS + REFINED_TAGS)
-
-
 def parse_up_moves(text: str) -> list[UpMove]:
     out = []
     for token in text.split():
         tag, param = _match_move(token, up=True)
-        if tag not in _UP_TAGS:
-            raise ParseError(f"unknown up-move {tag!r}")
         if tag[1:] in _PARAMETRIC:
             if param is None:
                 raise ParseError(f"{tag} needs a size parameter: {token!r}")

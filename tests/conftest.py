@@ -68,3 +68,19 @@ def compositions(n: int):
         return tuple(out + [run])
 
     return st.lists(st.booleans(), min_size=n - 1, max_size=n - 1).map(parts)
+
+
+def _pair_measures(phi, p, q, top, dims):
+    """The slow route of spectrum._count_block: the measure phi[j] - phi[i]
+    of every strict pair (i, j) of the block spanning p..q, taken right to
+    left in a top block and left to right in a bottom block, added to dims
+    with (q - p + 1) // 2 zeros for the diagonal."""
+    get = dims.get
+    for i in range(p, q + 1):
+        fi = phi[i]
+        for j in range(p, i) if top else range(i + 1, q + 1):
+            e = phi[j] - fi
+            dims[e] = get(e, 0) + 1
+    if q > p:
+        dims[0] = get(0, 0) + (q - p + 1) // 2
+    return dims

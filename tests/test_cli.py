@@ -90,6 +90,16 @@ def test_parse_error_exit_one():
     assert code == 1
 
 
+def test_a_zero_up_move_parameter_exits_one():
+    # refused when the up-move is built, before wind_up
+    for token, message in (
+        ("~C0(0)", "up-move parameter must be positive: 0"),
+        ("~IR(0)", "up-move block index must be positive: 0"),
+    ):
+        code, out, err = call("generate", "~C0(1)", token)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_unicode_digits_exit_one():
     # str.isdigit and the re module's \d accept these; int() rejects "²"
     cases = (
@@ -230,9 +240,13 @@ def test_oracle_over_budget_exit_two():
 
 
 def test_spectrum_over_budget_exit_two():
-    code, out, err = call("spectrum", "300000000/300000000")
-    assert (code, out) == (2, "")
-    assert err == "error: seaweed dimension 90000000000000000 exceeds the spectrum budget 4000000\n"
+    for meander, order in (("300000000/300000000", 300000000), ("1|200000/200001", 200001)):
+        code, out, err = call("spectrum", meander)
+        assert (code, out) == (2, "")
+        assert err == f"error: order {order} exceeds the spectrum budget 200000\n"
+    # within the order budget at seaweed dimension 400 000 000
+    code, out, err = call("spectrum", "1|19999/20000")
+    assert (code, err) == (0, "") and out.startswith("-19998:1 -19997:2 ")
 
 
 def test_vertex_budgets_exit_two():

@@ -29,7 +29,7 @@ from meanderkit.lab import (
     _scan_slice,
     _size_vectors,
 )
-from meanderkit.spectrum import SpectrumFlags, _count_block, _elements, _spectrum_raw, classify
+from meanderkit.spectrum import SpectrumFlags, _elements, _spectrum_raw, classify
 from meanderkit.winding import (
     UpMove,
     _meander_tree,
@@ -38,7 +38,7 @@ from meanderkit.winding import (
     signature_simplified,
 )
 
-from conftest import brute_pairs, compositions
+from conftest import _pair_measures, brute_pairs, compositions
 
 
 def test_condition_validation():
@@ -226,9 +226,11 @@ def test_scan_block_measures_reports_a_broken_block(monkeypatch):
     # it: the bottom block 3 of 1|2/3 is top block 1 of 3/1|2, and 1|2/3 is
     # the flip child of 3/1|2, which the scan does not measure again.  So
     # the skew goes into the potentials that 3/1|2 derives as the ~P0 child
-    # of 1|1/2: raising phi(1) by 2 turns the measures -1, 0, 1, 2 of that
-    # block into -1, 0, 3, 4, a counterexample reported with its measures
-    # sorted
+    # of 1|1/2.  Its sign is -1, so the block is read turned, left to
+    # right, with vertex 1 as its arc start: raising phi(1) by 2 turns the
+    # measures -1, 0, 1, 2 of that block into -3, 0, 1, 4, symmetric about
+    # one half, as every block _count_block measures is, but broken, a
+    # counterexample reported with its measures sorted
     real = lab._child
 
     def skewed(tag, up, top, bottom):
@@ -241,7 +243,7 @@ def test_scan_block_measures_reports_a_broken_block(monkeypatch):
     monkeypatch.setattr(lab, "_child", skewed)
     report = scan_block_measures(4)
     assert report.counterexamples == [
-        {"meander": "3/1|2", "side": "top", "block": 1, "measures": [-1, 0, 3, 4]}
+        {"meander": "3/1|2", "side": "top", "block": 1, "measures": [-3, 0, 1, 4]}
     ]
     assert report.checked == 23
 
@@ -274,11 +276,12 @@ def _slow_unimodality(top, bottom):
 
 
 def _slow_block_measures(top, bottom):
-    """Every block of one meander, each classified."""
+    """Every block of one meander, each measured by the pair loop and
+    classified."""
     phi = _walk(*_partners(top, bottom))[0]
     for side, comp in (("top", top), ("bottom", bottom)):
         for k, (p, q) in enumerate(_block_spans(comp), start=1):
-            dims = _count_block(phi, p, q, side == "top", {})
+            dims = _pair_measures(phi, p, q, side == "top", {})
             flags = classify(dims)
             if not (flags.symmetric and flags.unbroken):
                 yield {
@@ -402,10 +405,11 @@ def test_grown_spectra_match_along_random_paths_to_order_20():
 
 
 def _block_multisets(node):
-    """The measure multiset of every block of node: (top ones, bottom ones)."""
+    """The measure multiset of every block of node by the pair loop: (top
+    ones, bottom ones)."""
     top, bottom, phi = node
     return tuple(
-        [_elements(_count_block(phi, p, q, is_top, {})) for p, q in _block_spans(comp)]
+        [_elements(_pair_measures(phi, p, q, is_top, {})) for p, q in _block_spans(comp)]
         for comp, is_top in ((top, True), (bottom, False))
     )
 

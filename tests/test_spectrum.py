@@ -22,10 +22,10 @@ from meanderkit import (
     spectrum_to_json,
 )
 from meanderkit.core import WALK_MAX_ORDER, _block_spans, _partners, _walk
-from meanderkit.spectrum import _require_frobenius
-from meanderkit.winding import _parameters
+from meanderkit.spectrum import _count_block, _require_frobenius
+from meanderkit.winding import _meander_tree, _parameters, generate_frobenius
 
-from conftest import brute_pairs, random_meander
+from conftest import _pair_measures, brute_pairs, random_meander
 
 
 def test_admissible_pair_counts():
@@ -126,6 +126,84 @@ def test_spectrum_is_the_union_of_block_measures():
         for side, k, _, _ in _blocks(m):
             union.update(block_measures(m, side, k))
         assert union == spectrum(m)
+
+
+def _both_readings(top, bottom):
+    """(phi, p, q, top) of every block of a meander, read as it lies and
+    with phi negated and the side turned, as lab._child passes a block
+    below an odd number of flips."""
+    phi = _walk(*_partners(top, bottom))[0]
+    turned = [None] + [-f for f in phi[1:]]
+    for comp, is_top in ((top, True), (bottom, False)):
+        for p, q in _block_spans(comp):
+            yield phi, p, q, is_top
+            yield turned, p, q, not is_top
+
+
+def _matches_the_pair_loop(blocks):
+    """Compare _count_block with the pair loop on each block, and check
+    that it adds to the measures of the blocks before it; returns the
+    block sizes."""
+    added, total = {}, Counter()
+    sizes = []
+    for block in blocks:
+        dims = _count_block(*block, {})
+        assert dims == _pair_measures(*block, {}), block[1:]
+        assert _count_block(*block, added) is added
+        total.update(dims)
+        sizes.append(block[2] - block[1] + 1)
+    assert added == total
+    return sizes
+
+
+def test_block_measures_match_the_pair_loop_to_order_12(monkeypatch):
+    # each route on its own too: every block by the product, and every
+    # block by the loop over arc pairs
+    module = importlib.import_module("meanderkit.spectrum")
+    for least in (module._PRODUCT_MIN_ARCS, 1, 10**9):
+        monkeypatch.setattr(module, "_PRODUCT_MIN_ARCS", least)
+        meanders = 0
+        for top, bottom, _, _, _ in _meander_tree(12, 0, 24):
+            meanders += 1
+            _matches_the_pair_loop(_both_readings(top, bottom))
+        assert meanders == 8609
+
+
+def test_block_measures_match_the_pair_loop_on_generated_meanders():
+    # blocks of a few to some hundreds of vertices, on each side of the
+    # product threshold of spectrum._count_block
+    module = importlib.import_module("meanderkit.spectrum")
+    sizes = []
+    for moves in (10, 12, 16):
+        for seed in range(30):
+            m = generate_frobenius(moves, seed)
+            if m.n <= 3000:
+                sizes += _matches_the_pair_loop(_both_readings(m.top, m.bottom))
+    arcs = [k // 2 for k in sizes]
+    assert sum(h >= module._PRODUCT_MIN_ARCS for h in arcs) > 200
+    assert sum(1 < h < module._PRODUCT_MIN_ARCS for h in arcs) > 100
+    assert max(sizes) > 1000
+
+
+def test_block_measures_are_symmetric_by_construction():
+    # _count_block reads only the arc starts and the centre, and writes
+    # each measure with its mirror 1 - e: any potentials give a multiset
+    # symmetric about one half, and only its being unbroken, which the
+    # meanders' potentials give, can fail
+    rng = random.Random(26)
+    broken = 0
+    for _ in range(300):
+        k = rng.randint(2, 40)
+        h = k // 2
+        starts = [rng.randint(-30, 30) for _ in range(h)]
+        # a bottom block of k vertices whose arcs point from each start
+        phi = [None] + starts + [rng.randint(-30, 30)] * (k % 2)
+        phi += [s + 1 for s in reversed(starts)]
+        dims = _count_block(phi, 1, k, False, {})
+        assert dims == _pair_measures(phi, 1, k, False, {})
+        assert classify(dims).symmetric
+        broken += not classify(dims).unbroken
+    assert broken > 100
 
 
 def test_classify_golden():
@@ -358,18 +436,41 @@ def test_frobenius_gate_is_the_one_walk(monkeypatch):
 
 
 def test_spectrum_budget_comes_first(monkeypatch):
-    # 300000000/300000000 has 9 * 10**16 pairs and index 299999999: the
-    # budget, which needs only the block sizes, refuses it before the
-    # Frobenius check would build arrays over its vertices
-    for m in (MeanderType((300000000,), (300000000,)), parse_type("1155|1156/2311")):
+    # 300000000/300000000 has index 299999999: the budget, which needs
+    # only the block sizes, refuses it before the Frobenius check would
+    # build arrays over its vertices
+    for m in (MeanderType((300000000,), (300000000,)), parse_type("1|200000/200001")):
         for route in (spectrum, lambda m: block_measures(m, "bottom", 1)):
             with pytest.raises(PreconditionError) as exc:
                 route(m)
-            assert "exceeds the spectrum budget 4000000" in str(exc.value)
+            assert f"order {m.n} exceeds the spectrum budget 200000" == str(exc.value)
     # the package exports the function spectrum under the module's name
     module = importlib.import_module("meanderkit.spectrum")
-    monkeypatch.setattr(module, "SPECTRUM_MAX_DIM", 7)
+    monkeypatch.setattr(module, "SPECTRUM_MAX_ORDER", 3)
     assert spectrum(parse_type("1|2/3")) == {-1: 1, 0: 2, 1: 2, 2: 1}
     assert block_measures(parse_type("1|2/3"), "bottom", 1) == (-1, 0, 1, 2)
-    with pytest.raises(PreconditionError, match="seaweed dimension 15 exceeds"):
+    with pytest.raises(PreconditionError, match="^order 5 exceeds the spectrum budget 3$"):
         spectrum(parse_type("1|4/2|3"))
+
+
+def test_spectrum_budget_follows_the_order():
+    # 1|19999/20000 has seaweed dimension 400 000 000 but one path of
+    # order 20 000, and its measures come from the potentials of 19 999 arc
+    # starts; its spectrum is symmetric and unbroken and sums to the
+    # dimension less one
+    dims = spectrum(parse_type("1|19999/20000"))
+    flags = classify(dims)
+    assert flags.symmetric and flags.unbroken
+    assert sum(dims.values()) == (1 + 19999**2 + 20000**2) // 2 - 1
+
+
+def test_block_measures_budget_reads_the_block_size():
+    # block_measures lists each measure, so its own budget reads the size
+    # of the block before the walk: a block of 20 000 has 200 000 000
+    # measures, refused before 20000/20000 would be found not Frobenius
+    message = "^block measure count 200000000 exceeds the spectrum budget 4000000$"
+    for text in ("1|19999/20000", "20000/20000"):
+        with pytest.raises(PreconditionError, match=message):
+            block_measures(parse_type(text), "bottom", 1)
+    assert block_measures(parse_type("1|19999/20000"), "top", 1) == ()
+    assert len(block_measures(parse_type("1|2827/2828"), "bottom", 1)) == 3998792

@@ -215,16 +215,47 @@ def test_a_bool_move_parameter_is_refused():
 
 
 def test_bool_up_move_sizes_are_refused():
-    # True == 1, but True/True would not read back
-    for moves in (
-        [UpMove("~C0", c=True)],
-        [UpMove("~C", c=True)],
-        [UpMove("~C0", 1), UpMove("~B0"), UpMove("~IC", c=True)],  # ~IC(1) takes 2/1|1
-    ):
-        with pytest.raises(WindUpError, match="positive size") as exc:
-            wind_up(moves)
-        assert exc.value.step == len(moves)
+    # True == 1, but True/True would not read back: the up-move is refused
+    # when it is built, before wind_up sees it
+    for tag in ("~C0", "~C", "~IC"):
+        with pytest.raises(ParseError, match="positive"):
+            UpMove(tag, c=True)
     assert wind_up([UpMove("~C0", 1), UpMove("~B0"), UpMove("~IC", c=1)]).n == 3
+
+
+@pytest.mark.parametrize(
+    "tag, c, block",
+    [
+        ("~X", None, None),  # not a tag
+        ("~B0", 5, None),  # a size on a move without one
+        ("~C0", None, None),  # no size on a creation
+        ("~C0", 0, None),  # a size below 1
+        ("~F0", None, 3),  # a block on a move without one
+        ("~C0", 2, 1),
+        ("~IB", None, None),  # no block on ~IB
+        ("~IB", None, 0),  # a block below 1
+        ("~IR", None, True),
+    ],
+)
+def test_up_moves_are_checked_when_built(tag, c, block):
+    # each would print text that parse_up_moves refuses, or be ignored
+    with pytest.raises(ParseError):
+        UpMove(tag, c, block)
+
+
+def test_a_stray_up_move_parameter_is_not_ignored():
+    # wind_up once applied ~B0 and dropped the 5, building 4/2|2
+    with pytest.raises(ParseError, match="^up-move ~B0 parameter mismatch: 5$"):
+        wind_up([UpMove("~C0", 2), UpMove("~B0", c=5)])
+
+
+def test_every_built_up_move_reads_back():
+    # what UpMove accepts, up_moves_to_text writes so that parse_up_moves
+    # reads back the same moves
+    moves = [UpMove(tag) for tag in ("~F0", "~B0", "~R0", "~P0", "~F", "~B", "~R", "~P", "~IR")]
+    moves += [UpMove(tag, c) for tag in ("~C0", "~C", "~IC") for c in (1, 7)]
+    moves += [UpMove(tag, block=k) for tag in ("~IB", "~IR") for k in (1, 4)]
+    assert parse_up_moves(up_moves_to_text(moves)) == moves
 
 
 def test_up_move_text_round_trip():
