@@ -445,9 +445,9 @@ def _cmd_search(argv, out, err) -> int:
         raise _Usage("option --workers needs a value >= 1")
     if sub == "gcd":
         frob, nonfrob = lab.five_block_meanders(value["n_max"])
-        report = lab.search_gcd_conditions(
-            value["max_coef"], frob, nonfrob, seed=value["seed"],
-            sample_size=value["sample_size"], workers=workers,
+        report = lab._search_gcd(
+            value["max_coef"], frob, nonfrob, value["seed"], value["sample_size"],
+            workers, recheck=False,
         )
     elif sub == "unimodality":
         report = lab.scan_unimodality(value["n_max"])
@@ -467,39 +467,38 @@ def _cmd_search(argv, out, err) -> int:
 
 # Most cells of a diagram, 2n - 1 columns times the vertex row and half the
 # largest block of each side.  At it (Python 3.11, shared 2-core host, peak
-# RSS) 1|1|...|1/1|1|...|1 takes 0.7 s at 40 MB as text, 0.9 s at 120 MB as SVG.
+# RSS) the command on 1|1|...|1/1|1|...|1 takes 0.33 s at 41 MB as text, most
+# of it parsing, and 0.9-1.5 s at 121 MB as SVG; 2|...|2/1|2|...|2|1,
+# 4|...|4/4|...|4 and 706/706 take at most 0.17 s at 28 MB as text.
 DIAGRAM_MAX_CELLS = 1_000_000
 
 
 def ascii_diagram(m: MeanderType) -> str:
-    """Static arc diagram: top arcs above the vertex line, bottom below."""
-    n = m.n
-    width = max(2 * n - 1, 1)
+    """Static arc diagram: top arcs above the vertex line, bottom below.
 
-    def rows(comp: Composition, corner: str) -> list[list[str]]:
-        arcs = _arcs(comp)
-        height = max((d for _, _, d in arcs), default=0)
-        grid = [[" "] * width for _ in range(height)]
-        for u, v, d in arcs:
-            bar = d - 1
-            cu, cv = 2 * (u - 1), 2 * (v - 1)
-            grid[bar][cu] = corner
-            grid[bar][cv] = corner
-            for c in range(cu + 1, cv):
-                grid[bar][c] = "-"
-            for rr in range(bar + 1, height):
-                grid[rr][cu] = "|"
-                grid[rr][cv] = "|"
-        return grid
+    A block of size k, with h = k // 2 nested arcs, is one column of text
+    2k - 1 characters wide: row r < h holds the bar of its arc r inside the
+    verticals of the r arcs around it, and every lower row holds the 2h
+    verticals alone.  A side's rows join its columns with one space, so a
+    diagram costs per block, not per cell of its grid."""
 
-    top_grid = rows(m.top, ".")
-    bot_grid = rows(m.bottom, "'")
-    bot_grid.reverse()
-    vertex_row = " ".join("o" for _ in range(n))
-    lines = ["".join(r).rstrip() for r in top_grid]
-    lines.append(vertex_row)
-    lines.extend("".join(r).rstrip() for r in bot_grid)
-    return "\n".join(lines)
+    def rows(comp: Composition, corner: str) -> list[str]:
+        height = max(comp, default=0) // 2
+        if not height:
+            return []
+        columns = {}
+        for k in set(comp):
+            h = k // 2
+            lower = " ".join("|" * h + " " * (k - 2 * h) + "|" * h)
+            columns[k] = [
+                "| " * r + corner + "-" * (2 * (k - 2 * r) - 3) + corner + " |" * r
+                for r in range(h)
+            ] + [lower] * (height - h)
+        return [" ".join(row).rstrip() for row in zip(*map(columns.__getitem__, comp))]
+
+    bottom = rows(m.bottom, "'")
+    bottom.reverse()
+    return "\n".join([*rows(m.top, "."), " ".join("o" * m.n), *bottom])
 
 
 def svg_diagram(m: MeanderType) -> str:

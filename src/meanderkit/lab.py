@@ -235,6 +235,13 @@ def search_gcd_conditions(
     most os.cpu_count() processes are started.  More than GCD_MAX_PAIRS
     pairs raise PreconditionError before any vector is built.
     """
+    return _search_gcd(max_coef, sample, non_sample, seed, sample_size, workers, recheck=True)
+
+
+def _search_gcd(max_coef, sample, non_sample, seed, sample_size, workers, recheck) -> ScanReport:
+    """search_gcd_conditions, which checks each sample's index only when
+    recheck is set: the CLI passes five_block_meanders' split as it comes,
+    and the tree walk has already read those indices."""
     if max_coef < 1:
         raise PreconditionError("max_coef must be >= 1")
     vectors = ((2 * max_coef + 1) ** 5 + 1) // 2  # canonical, zero included
@@ -248,13 +255,14 @@ def search_gcd_conditions(
     for m in sample + non_sample:
         if len(m.top) + len(m.bottom) != 5:
             raise PreconditionError(f"not a five-block meander: {m}")
-    # the index is the sum of the elimination parameters less one
-    for m in sample:
-        if sum(_parameters(m)) != 1:
-            raise PreconditionError(f"sample meander is not Frobenius: {m}")
-    for m in non_sample:
-        if sum(_parameters(m)) == 1:
-            raise PreconditionError(f"non-sample meander is Frobenius: {m}")
+    if recheck:
+        # the index is the sum of the elimination parameters less one
+        for m in sample:
+            if sum(_parameters(m)) != 1:
+                raise PreconditionError(f"sample meander is not Frobenius: {m}")
+        for m in non_sample:
+            if sum(_parameters(m)) == 1:
+                raise PreconditionError(f"non-sample meander is Frobenius: {m}")
 
     t0 = time.monotonic()
     if sample_size is not None:

@@ -102,6 +102,7 @@ potentials; only its being unbroken depends on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import (
     WALK_MAX_ORDER,
@@ -303,22 +304,29 @@ def classify(s: Spectrum) -> SpectrumFlags:
     unimodal: dimensions never decrease up to 0 and never increase from 1.
     strictly_unimodal: strict versions, the 0/1 pair exempt.
 
-    The empty spectrum satisfies all four vacuously.
+    The empty spectrum satisfies all four vacuously.  One pass reads the
+    dimensions v from min(lo, 0) to max(hi, 1), absent ones as 0: the
+    spectrum is unbroken when it has hi - lo + 1 keys, symmetric when
+    hi == 1 - lo and v is a palindrome, unimodal when v over lo..0 is
+    sorted ascending and v over 1..hi descending (either part may be
+    empty), and strictly so when neither part also repeats a value.  That
+    list holds one entry per integer of its range, however few keys lie in it.
     """
     if not s:
         return SpectrumFlags(True, True, True, True)
     lo = min(s)
     hi = max(s)
-    d = s.get
-    unbroken = all(e in s for e in range(lo, hi + 1))
-    symmetric = hi == 1 - lo and all(d(e, 0) == d(1 - e, 0) for e in range(lo, hi + 1))
-    unimodal = all(d(e, 0) <= d(e + 1, 0) for e in range(lo, 0)) and all(
-        d(e, 0) >= d(e + 1, 0) for e in range(1, hi)
+    base = min(lo, 0)
+    v = list(map(s.get, range(base, max(hi, 1) + 1), repeat(0)))
+    rise = v[lo - base : 1 - base]
+    fall = v[1 - base : hi + 1 - base]
+    unimodal = rise == sorted(rise) and fall == sorted(fall, reverse=True)
+    return SpectrumFlags(
+        hi == 1 - lo and v == v[::-1],
+        len(s) == hi - lo + 1,
+        unimodal,
+        unimodal and len(set(rise)) == len(rise) and len(set(fall)) == len(fall),
     )
-    strictly = all(d(e, 0) < d(e + 1, 0) for e in range(lo, 0)) and all(
-        d(e, 0) > d(e + 1, 0) for e in range(1, hi)
-    )
-    return SpectrumFlags(symmetric, unbroken, unimodal, strictly)
 
 
 def _elements(dims: Spectrum) -> tuple[int, ...]:

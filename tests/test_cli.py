@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,8 @@ from meanderkit.cli import (
     run,
     svg_diagram,
 )
-from meanderkit import enumerate_meanders, index_naive, parse_type
-from meanderkit.core import WALK_MAX_ORDER
+from meanderkit import MeanderType, enumerate_meanders, index_naive, parse_type
+from meanderkit.core import WALK_MAX_ORDER, _arcs
 from meanderkit.lab import FIVE_BLOCK_MAX_ORDER, GCD_MAX_PAIRS, SCAN_MAX_ORDER
 from meanderkit.lie import ORACLE_MAX_TRIALS
 from meanderkit.spectrum import SpectrumFlags
@@ -199,6 +200,27 @@ def test_workers_only_on_search_gcd():
     assert code == 0 and json.loads(out)["survivors"] == []
     code, out, err = call("search", "gcd", "--n-max", "5", "--workers", "0")
     assert (code, out) == (1, "") and "--workers needs a value >= 1" in err
+
+
+def test_search_gcd_reads_the_indices_of_the_tree_walk(monkeypatch):
+    # five_block_meanders splits its samples by the index the walk read, so
+    # the command checks no sample's index again; the public function does
+    frob, nonfrob = lab.five_block_meanders(9)
+    expected = lab.search_gcd_conditions(1, frob, nonfrob, seed=2, sample_size=30).payload()
+
+    def no_parameters(m):
+        raise AssertionError(f"index re-checked: {m}")
+
+    monkeypatch.setattr(lab, "_parameters", no_parameters)
+    code, out, _ = call(
+        "search", "gcd", "--max-coef", "1", "--n-max", "9", "--seed", "2", "--sample-size", "30"
+    )
+    assert code == 0
+    report = json.loads(out)
+    del report["elapsed_seconds"]
+    assert report == expected
+    with pytest.raises(AssertionError, match="index re-checked"):
+        lab.search_gcd_conditions(1, frob, nonfrob)
 
 
 def test_options_a_command_does_not_read_are_rejected(tmp_path):
@@ -443,6 +465,66 @@ def test_diagram_nested():
             "'-----'",
         ]
     )
+
+
+def _grid_diagram(m):
+    """The slow route of ascii_diagram: a grid of cells per side, one bar
+    cell and two vertical cells per row written at a time for each arc."""
+    n = m.n
+    width = max(2 * n - 1, 1)
+
+    def rows(comp, corner):
+        arcs = _arcs(comp)
+        height = max((d for _, _, d in arcs), default=0)
+        grid = [[" "] * width for _ in range(height)]
+        for u, v, d in arcs:
+            bar = d - 1
+            cu, cv = 2 * (u - 1), 2 * (v - 1)
+            grid[bar][cu] = corner
+            grid[bar][cv] = corner
+            for c in range(cu + 1, cv):
+                grid[bar][c] = "-"
+            for rr in range(bar + 1, height):
+                grid[rr][cu] = "|"
+                grid[rr][cv] = "|"
+        return grid
+
+    top_grid = rows(m.top, ".")
+    bot_grid = rows(m.bottom, "'")
+    bot_grid.reverse()
+    lines = ["".join(r).rstrip() for r in top_grid]
+    lines.append(" ".join("o" for _ in range(n)))
+    lines.extend("".join(r).rstrip() for r in bot_grid)
+    return "\n".join(lines)
+
+
+def _few_blocks(rng, n, most):
+    """A random composition of n into at most `most` blocks."""
+    cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, most - 1), n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
+def test_diagram_matches_the_grid_to_order_seven():
+    meanders = [MeanderType((), ())]
+    meanders += [m for n in range(1, 8) for m in enumerate_meanders(n)]
+    for m in meanders:
+        assert ascii_diagram(m) == _grid_diagram(m), m
+
+
+def test_diagram_matches_the_grid_on_seeded_meanders():
+    # up to 40 blocks a side to order 300, and in every fourth draw one
+    # side all of size 1 (no arcs) or of equal tall blocks
+    rng = random.Random(27)
+    for i in range(2000):
+        n = rng.randint(1, 300)
+        top, bottom = _few_blocks(rng, n, 40), _few_blocks(rng, n, 40)
+        if i % 4 == 1:
+            top = (1,) * n
+        elif i % 4 == 3:
+            k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            bottom = (k,) * (n // k)
+        m = MeanderType(top, bottom)
+        assert ascii_diagram(m) == _grid_diagram(m), m
 
 
 def test_diagram_svg(tmp_path):

@@ -83,6 +83,8 @@ SPECIALS = [
     ["search", "gcd", "--max-coef", "1", "--n-max", "7", "--sample-size", "3", "--seed", "2"],
     ["search", "gcd", "--max-coef", "20", "--n-max", "5"],
     ["search", "gcd", "--n-max", "5", "--workers", "0"],
+    ["diagram", "1|1|1/3"], ["diagram", "5|1|6/12"], ["diagram", "8|8/16"],
+    ["diagram", "2|2|2/1|2|2|1"], ["spectrum", "1|12/13"],
 ]
 
 

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meanderkit import (
     MeanderType,
@@ -22,7 +24,7 @@ from meanderkit import (
     spectrum_to_json,
 )
 from meanderkit.core import WALK_MAX_ORDER, _block_spans, _partners, _walk
-from meanderkit.spectrum import _count_block, _require_frobenius
+from meanderkit.spectrum import SpectrumFlags, _count_block, _require_frobenius
 from meanderkit.winding import _meander_tree, _parameters, generate_frobenius
 
 from conftest import _pair_measures, brute_pairs, random_meander
@@ -230,6 +232,53 @@ def test_classify_detects_breaks_and_asymmetry():
     assert not classify({-1: 1, 1: 1, 2: 1}).unbroken
     assert not classify({0: 2, 1: 1}).symmetric
     assert not classify({-1: 3, 0: 1, 1: 1, 2: 3}).unimodal
+
+
+def _slow_classify(s):
+    """The slow route of classify: one pass over the eigenvalue range per
+    flag, each dimension read from the dict."""
+    if not s:
+        return SpectrumFlags(True, True, True, True)
+    lo = min(s)
+    hi = max(s)
+    d = s.get
+    unbroken = all(e in s for e in range(lo, hi + 1))
+    symmetric = hi == 1 - lo and all(d(e, 0) == d(1 - e, 0) for e in range(lo, hi + 1))
+    unimodal = all(d(e, 0) <= d(e + 1, 0) for e in range(lo, 0)) and all(
+        d(e, 0) >= d(e + 1, 0) for e in range(1, hi)
+    )
+    strictly = all(d(e, 0) < d(e + 1, 0) for e in range(lo, 0)) and all(
+        d(e, 0) > d(e + 1, 0) for e in range(1, hi)
+    )
+    return SpectrumFlags(symmetric, unbroken, unimodal, strictly)
+
+
+@settings(max_examples=1000)
+@given(st.dictionaries(st.integers(-7, 8), st.integers(0, 4), max_size=9))
+@example({})
+@example({4: 3})
+@example({0: 0, 1: 0})
+@example({-1: 2, 0: 0, 1: 0, 2: 2})
+@example({2: 1, 3: 1})
+@example({3: 0, 5: 0})
+@example({-3: 1, -2: 2})
+@example({-1: 0})
+def test_classify_matches_the_slow_route(dims):
+    # empty, one key, zero counts, lo > 1 and hi < 0 among them
+    assert classify(dims) == _slow_classify(dims)
+
+
+def test_classify_matches_the_slow_route_on_spectra_and_blocks():
+    seen = set()
+    for m in _frobenius(10):
+        dims = spectrum(m)
+        multisets = [dims] + [Counter(block_measures(m, side, k)) for side, k, _, _ in _blocks(m)]
+        for dims in multisets:
+            key = frozenset(dims.items())
+            if key not in seen:
+                seen.add(key)
+                assert classify(dims) == _slow_classify(dims), dims
+    assert len(seen) == 245
 
 
 def test_classify_empty_spectrum():
