@@ -242,14 +242,16 @@ def _search_gcd(max_coef, sample, non_sample, seed, sample_size, workers, rechec
     """search_gcd_conditions, which checks each sample's index only when
     recheck is set: the CLI passes five_block_meanders' split as it comes,
     and the tree walk has already read those indices."""
-    if max_coef < 1:
+    if type(max_coef) is not int or max_coef < 1:
         raise PreconditionError("max_coef must be >= 1")
     vectors = ((2 * max_coef + 1) ** 5 + 1) // 2  # canonical, zero included
     _check_budget("pair count", vectors * (vectors + 1) // 2 - 1, GCD_MAX_PAIRS, "gcd")
-    if workers < 1:
+    if type(workers) is not int or workers < 1:
         raise PreconditionError("workers must be >= 1")
-    if sample_size is not None and sample_size < 1:
+    if sample_size is not None and (type(sample_size) is not int or sample_size < 1):
         raise PreconditionError("sample_size must be >= 1")
+    if type(seed) is not int:
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
     if not sample or not non_sample:
         raise PreconditionError("both sample sets must be nonempty")
     for m in sample + non_sample:
@@ -399,7 +401,7 @@ def _scan(kind: str, n_max: int, visit, state) -> ScanReport:
     depth, and no meander is walked: each node's potentials come from its
     parent's.  An n_max over SCAN_MAX_ORDER raises PreconditionError
     before the walk."""
-    if n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     _check_budget("order", n_max, SCAN_MAX_ORDER, "scan")
     t0 = time.monotonic()

@@ -334,7 +334,7 @@ def index_oracle(m: MeanderType, trials: int = 5, seed: int = 0) -> int:
     (see the module docstring), which can only raise the nullity too.
     trials runs from 1 to ORACLE_MAX_TRIALS.
     """
-    if trials < 1:
+    if type(trials) is not int or trials < 1:
         raise PreconditionError("trials must be >= 1")
     if trials > ORACLE_MAX_TRIALS:
         raise PreconditionError(

@@ -6,7 +6,7 @@ top block a1 and first bottom block b1:
 * simplified moves  F0, C0(c), B0, R0, P0
 * refined moves     F, C(c), B, R, IC(c), IB, IR, P
 
-Shared cases (both alphabets):
+Shared cases (both alphabets, one code path for all but the flip):
 
     a1 < b1        Flip            exchange top and bottom
     a1 = b1        C(a1)           drop both first blocks (removes components)
@@ -84,15 +84,16 @@ move of the run succeeds (d > 0), the other q - 1 cannot fail and add
 (q - 1)*d to both first blocks at once.  Equal fresh instances, such as
 the undo moves of step_refined_full, are applied one move at a time.
 
-IC, IB and IR find the center block from a finger per stack: a stack
-index k and the start vertex p of that block.  A push, pop or rewrite at
-the end of a stack leaves k alone and moves p by the change in size in
-front of it, a removal at the center leaves the finger on a neighbouring
-block, and a flip reverses the two fingers.  The search starts at the last
-center block instead of the first block: on family_parabolic(2, 600, 3)
-its 900 searches move the finger 600 blocks in all.  The single steps and
-the up-moves start it at the first block.  The period-2 runs, such as
-(P0 F0)^q and (F0 B0)^q, are still taken one move at a time.
+IC, IB and IR find the center block from one finger on the bottom stack:
+a stack index k and the start vertex p of that block.  A resize or
+removal of bottom block 1 moves p by the change in size in front of it (a
+finger on a removed block 1 goes to the next), a removal at the center
+leaves it on a neighbouring block, and a flip restarts it at the front.
+The search starts at the last center block instead of the first block: on
+family_parabolic(2, 600, 3) its 900 searches move the finger 600 blocks in
+all.  The single steps and the up-moves start it at the first block.
+The period-2 runs, such as (P0 F0)^q and (F0 B0)^q, are still taken one
+move at a time.
 
 The simplified down-step also makes all meanders one tree, rooted at the
 empty meander, which ``_meander_tree`` walks by reverse search (Avis and
@@ -114,7 +115,8 @@ raises; the index, the sum of the ~C0 parameters minus one; and the
 block count, to which ~C0 adds two, ~B0 one and the others none.  So
 every ancestor of a meander within the budgets is within them too, and
 the walk costs a constant number of tuple operations per meander found,
-against one component walk per candidate, 4**(n-1) of them at order n.
+each a copy of the compositions, so O(blocks), against one component walk
+per candidate, 4**(n-1) of them at order n.
 Each entry carries its depth, the number of up-moves from the empty
 meander, which has depth 0 and is not reported; 1/1 has depth 1.  The
 walk is depth first, so the parent of an entry at depth d >= 2 is the
@@ -187,7 +189,7 @@ _PARAMETRIC = {"C0", "C", "IC"}
 _UP_TAGS = frozenset("~" + tag for tag in SIMPLIFIED_TAGS + REFINED_TAGS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One winding-down move; ``c`` is the elimination parameter."""
 
@@ -206,7 +208,7 @@ class Move:
         return self.tag if self.c is None else f"{self.tag}({self.c})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpMove:
     """One winding-up move.
 
@@ -290,13 +292,12 @@ def _meander(sides: list[list[int]]) -> MeanderType:
 # A raw step changes the pair sides = [top, bottom] in place and returns
 # the run it took, (move, count): a run of count equal moves, at most
 # `most`, where the run has a closed form (R0, R, IR), and one move
-# otherwise.  A flip reverses sides.  finger = [top finger, bottom finger]
-# holds, per stack, [k, p]: a stack index k and the start vertex p of that
-# block; the refined step searches the center from it, keeps it valid and
-# reverses it on a flip, and the simplified step, which never searches,
-# ignores it.
+# otherwise.  A flip reverses sides.  finger = [k, p] is a finger on the
+# bottom stack: a stack index k and the start vertex p of that block.  The
+# refined step searches the center from it and keeps it valid; the
+# simplified step, which never searches, ignores it.
 def _step_simplified_raw(
-    sides: list[list[int]], finger: list[list[int]], most: int
+    sides: list[list[int]], finger: list[int], most: int
 ) -> tuple[Move, int]:
     top, bottom = sides
     a1 = top[-1]
@@ -326,26 +327,9 @@ def _step_simplified_raw(
     return _ONCE["P0"]
 
 
-def _front(sides: list[list[int]]) -> list[list[int]]:
-    """A finger on the first block of each stack."""
-    return [[len(stack) - 1, 1] for stack in sides]
-
-
-def _set_first(stack: list[int], f: list[int], x: int) -> None:
-    """Resize the first block of stack to x, keeping its finger f valid."""
-    if f[0] != len(stack) - 1:
-        f[1] += x - stack[-1]
-    stack[-1] = x
-
-
-def _pop_first(stack: list[int], f: list[int]) -> None:
-    """Remove the first block of stack; a finger on it moves to the next."""
-    x = stack.pop()
-    if f[0] == len(stack):
-        f[0] -= 1
-        f[1] = 1
-    else:
-        f[1] -= x
+def _front(sides: list[list[int]]) -> list[int]:
+    """A finger on the first bottom block."""
+    return [len(sides[1]) - 1, 1]
 
 
 def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int, int]:
@@ -368,72 +352,67 @@ def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int,
         p = q + 1
 
 
+# The renamed one-move runs of B0, R0 and P0; an R0^q run becomes R^q.
+_REFINED = {"B0": _ONCE["B"], "R0": _ONCE["R"], "P0": _ONCE["P"]}
+
+
 def _step_refined_raw(
-    sides: list[list[int]], finger: list[list[int]], most: int
+    sides: list[list[int]], finger: list[int], most: int
 ) -> tuple[Move, int]:
     top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
+        # the old top is the new bottom; the finger starts at its front
         sides.reverse()
-        finger.reverse()
+        finger[0] = len(top) - 1
+        finger[1] = 1
         return _ONCE["F"]
-    ft, fb = finger
-    if a1 == b1:
-        _pop_first(top, ft)
-        _pop_first(bottom, fb)
-        return Move("C", a1), 1
-    if a1 == 2 * b1:
-        _set_first(top, ft, b1)
-        _pop_first(bottom, fb)
-        return _ONCE["B"]
-    if a1 < 2 * b1:
-        d = a1 - b1
-        q = (b1 - 1) // d
-        if q > most:
-            q = most
-        _set_first(top, ft, b1 - (q - 1) * d)
-        _set_first(bottom, fb, b1 - q * d)
-        return _MOVES["R"], q
-
-    # a1 > 2*b1: the bottom block around the center of A1 decides; it is
-    # never the first block, which ends at b1 < a1/2.  IB and IR leave the
-    # bottom finger on the block that their up-move targets.
-    k, p, q = _center_block(a1, bottom, fb[0], fb[1])
-    fb[0] = k
-    if 2 * p > a1 + 1:
-        # the center is a gap between bottom blocks: remove the block
-        # ending at a1/2, which ~IB reinserts in front of the block at k
-        x = bottom.pop(k + 1)
-        fb[1] = p - x
-        _set_first(top, ft, a1 - x)
-        return _ONCE["IB"]
-
-    bi = bottom[k]
-    if p + q == a1 + 1:
-        del bottom[k]
-        fb[1] = p - bottom[k]
-        _set_first(top, ft, a1 - bi)
-        return Move("IC", bi), 1
-    fb[1] = p
-    r = min(a1 + 1 - 2 * p, 2 * q - a1 - 1)
-    delta = bi - r - 1
-    if a1 - delta < 1:
-        # the center block extends too far past A1 for the rotation
-        # rewrite; contract purely instead
-        _set_first(top, ft, b1)
-        top.append(a1 - 2 * b1)
-        ft[1] += a1 - 2 * b1  # a new first block lies in front of any finger
-        _pop_first(bottom, fb)
-        return _ONCE["P"]
-    # each IR lowers a1 and the near distance r by delta and keeps block
-    # k the center block; the run ends before r < 0 or P
-    q = 1 + min(r // delta, (a1 - 1) // delta - 1)
-    if q > most:
-        q = most
-    _set_first(top, ft, a1 - q * delta)
-    bottom[k] = r - (q - 1) * delta + 1
-    return _MOVES["IR"], q
+    if a1 > 2 * b1:
+        # the bottom block around the center of A1 decides; it is never the
+        # first block, which ends at b1 < a1/2.  IB and IR leave the finger
+        # on the block that their up-move targets.
+        k, p, q = _center_block(a1, bottom, finger[0], finger[1])
+        finger[0] = k
+        if 2 * p > a1 + 1:
+            # the center is a gap between bottom blocks: remove the block
+            # ending at a1/2, which ~IB reinserts in front of the block at k
+            x = bottom.pop(k + 1)
+            finger[1] = p - x
+            top[-1] = a1 - x
+            return _ONCE["IB"]
+        bi = bottom[k]
+        if p + q == a1 + 1:
+            del bottom[k]
+            finger[1] = p - bottom[k]
+            top[-1] = a1 - bi
+            return Move("IC", bi), 1
+        finger[1] = p
+        r = min(a1 + 1 - 2 * p, 2 * q - a1 - 1)
+        delta = bi - r - 1
+        if a1 - delta >= 1:
+            # each IR lowers a1 and the near distance r by delta and keeps
+            # block k the center block; the run ends before r < 0 or P
+            q = 1 + min(r // delta, (a1 - 1) // delta - 1)
+            if q > most:
+                q = most
+            top[-1] = a1 - q * delta
+            bottom[k] = r - (q - 1) * delta + 1
+            return _MOVES["IR"], q
+        # the center block extends too far past A1 for the IR rewrite: P
+    # C, B, R and P are the simplified moves, renamed.  Each removes or
+    # resizes bottom block 1: a finger behind it moves by the change in size
+    # in front of it, and a finger on it (p = 1) stays on the first block.
+    n = len(bottom)
+    move, q = _step_simplified_raw(sides, finger, most)
+    if finger[0] < n - 1:
+        finger[1] += (bottom[-1] if len(bottom) == n else 0) - b1
+    elif len(bottom) < n:
+        finger[0] = n - 2
+    if move.c is None:
+        run = _REFINED[move.tag]
+        return run if q == 1 else (run[0], q)
+    return Move("C", move.c), 1
 
 
 def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
@@ -443,8 +422,8 @@ def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     finger = _front(sides)
     move, _ = step_raw(sides, finger, 1)
     tag = "~" + move.tag
-    # ~C and ~IC take the size, ~IB and ~IR the block under the bottom finger
-    block = None if move.c else len(sides[1]) - finger[1][0]
+    # ~C and ~IC take the size, ~IB and ~IR the block under the finger
+    block = None if move.c else len(sides[1]) - finger[0]
     return move, _meander(sides), _UP_MOVES.get(tag) or UpMove(tag, move.c, block)
 
 
@@ -756,7 +735,7 @@ def hat_reversed(sig: Sequence[Move]) -> list[UpMove]:
 def enumerate_meanders(n: int) -> Iterator[MeanderType]:
     """All 4**(n-1) meanders of order n, lexicographic, top-major; n runs
     from 1 to ENUMERATE_MAX_ORDER."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
     _check_budget("order", n, ENUMERATE_MAX_ORDER, "enumerate")
     for top in _compositions(n):
@@ -835,7 +814,7 @@ def generate_frobenius(moves: int, seed: int) -> MeanderType:
     valid target block).  Deterministic for a given seed.  moves runs from
     0 to GENERATE_MAX_MOVES.
     """
-    if moves < 0:
+    if type(moves) is not int or moves < 0:
         raise PreconditionError("moves must be >= 0")
     _check_budget("move count", moves, GENERATE_MAX_MOVES, "generate")
     rng = random.Random(seed)

@@ -269,3 +269,22 @@ def test_lab_reads_the_tree_tags_in_one_function():
     # from lab._child
     source = (Path(meanderkit.__file__).parent / "lab.py").read_text(encoding="utf-8")
     assert _tag_readers(source) == ["_child"]
+
+
+def _calls(source: str, function: str) -> set[str]:
+    """Names that a module-level function of a module calls."""
+    (node,) = (n for n in ast.parse(source).body if getattr(n, "name", None) == function)
+    return {
+        c.func.id
+        for c in ast.walk(node)
+        if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+    }
+
+
+def test_the_refined_step_delegates_the_shared_cases():
+    # one case table: C, B, R and P of the refined step are the simplified
+    # step's, and the one finger lives on the bottom stack
+    source = (Path(meanderkit.__file__).parent / "winding.py").read_text(encoding="utf-8")
+    assert "_step_simplified_raw" in _calls(source, "_step_refined_raw")
+    defined = {getattr(node, "name", None) for node in ast.parse(source).body}
+    assert not defined & {"_set_first", "_pop_first"}

@@ -182,6 +182,29 @@ def test_search_gcd_refuses_an_empty_subsample():
     assert report.parameters["frobenius_samples"] == 1
 
 
+# True == 1, but a bool would print as true in the reproducible payload
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((True,), {}, "max_coef must be >= 1"),
+        ((1,), {"sample_size": True}, "sample_size must be >= 1"),
+        ((1,), {"workers": True}, "workers must be >= 1"),
+        ((1,), {"seed": True}, "seed must be an integer"),
+    ],
+    ids=["max_coef", "sample_size", "workers", "seed"],
+)
+def test_search_gcd_refuses_bool_arguments(args, kwargs, message):
+    frob, nonfrob = five_block_meanders(6)
+    with pytest.raises(PreconditionError, match=message):
+        search_gcd_conditions(*args, frob, nonfrob, **kwargs)
+
+
+def test_scans_refuse_a_bool_order():
+    for scan in (scan_unimodality, scan_block_measures):
+        with pytest.raises(PreconditionError, match="n_max must be >= 1"):
+            scan(True)
+
+
 def test_scan_order_budgets(monkeypatch):
     # each bound is checked before the walk, so an astronomical order is
     # refused at once, and the bound itself is accepted

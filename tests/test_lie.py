@@ -10,6 +10,7 @@ from meanderkit import (
     ConsistencyError,
     MeanderType,
     NotFrobeniusError,
+    PreconditionError,
     ad_spectrum,
     canonical_functional,
     cybe_residual,
@@ -91,6 +92,12 @@ def test_index_oracle_golden():
     assert index_oracle(parse_type("1|2/3")) == 0
     assert index_oracle(parse_type("3/3")) == 2
     assert index_oracle(parse_type("2|1/2|1")) == 2
+
+
+def test_index_oracle_refuses_a_bool_trial_count():
+    # True == 1, but index_oracle(m, trials=True) would run one trial
+    with pytest.raises(PreconditionError, match="trials must be >= 1"):
+        index_oracle(parse_type("1|2/3"), trials=True)
 
 
 def test_index_oracle_random_agreement():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -223,6 +225,14 @@ def test_bool_up_move_sizes_are_refused():
     assert wind_up([UpMove("~C0", 1), UpMove("~B0"), UpMove("~IC", c=1)]).n == 3
 
 
+def test_moves_are_slotted_and_survive_pickle_and_copy():
+    for move in (Move("C0", 3), Move("IR"), UpMove("~IB", block=2), UpMove("~C", 1), UpMove("~R0")):
+        assert hasattr(type(move), "__slots__") and not hasattr(move, "__dict__")
+        for back in (pickle.loads(pickle.dumps(move)), copy.deepcopy(move)):
+            assert back == move and hash(back) == hash(move)
+            assert repr(back) == repr(move) and str(back) == str(move)
+
+
 @pytest.mark.parametrize(
     "tag, c, block",
     [
@@ -316,6 +326,17 @@ def test_enumerate_counts():
 def test_enumerate_rejects_nonpositive():
     with pytest.raises(PreconditionError):
         list(enumerate_meanders(0))
+
+
+def test_enumerate_refuses_a_bool_order():
+    # True == 1, but enumerate_meanders(True) would list order 1
+    with pytest.raises(PreconditionError, match="order must be >= 1"):
+        list(enumerate_meanders(True))
+
+
+def test_generate_frobenius_refuses_a_bool_move_count():
+    with pytest.raises(PreconditionError, match="moves must be >= 0"):
+        generate_frobenius(True, 1)
 
 
 def _tree_sorted(n_max, max_index, max_blocks):
@@ -530,6 +551,35 @@ def test_parabolic_family_frobenius_at_scale():
     # internal move would take tens of seconds here
     assert is_frobenius(signature_refined(family_parabolic(2, 20000, 1)))
 
+
+
+@pytest.mark.parametrize(
+    "m, walk",
+    [
+        (family_parabolic(2, 600, 3), 600),
+        (family_parabolic(2, 4800, 1), 4799),
+        (family_biparabolic(2, 5, 120, 600), 123),
+        (family_biparabolic(4, 3, 50, 300), 350),
+    ],
+    ids=["parabolic-600", "parabolic-4800", "biparabolic-120-600", "biparabolic-50-300"],
+)
+def test_center_search_keeps_its_finger_local(monkeypatch, m, walk):
+    # the blocks the finger moves over in all the center searches of one
+    # refined reduction: a search from the first block each time would
+    # move it about blocks**2 / 4
+    from meanderkit import winding
+
+    moved = []
+    search = winding._center_block
+
+    def counting(a1, bottom, k, p):
+        found = search(a1, bottom, k, p)
+        moved.append(abs(found[0] - k))
+        return found
+
+    monkeypatch.setattr(winding, "_center_block", counting)
+    signature_refined(m)
+    assert sum(moved) == walk
 
 def _index_from_runs(m):
     return sum(homotopy_type(m).parameters()) - 1
