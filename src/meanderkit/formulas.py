@@ -83,7 +83,7 @@ def family_parabolic(a: int, k: int, b: int) -> MeanderType:
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     return family_biparabolic(a, b, k, 0)
 
@@ -97,11 +97,11 @@ def family_biparabolic(a: int, b: int, k: int, bottom_copies: int) -> MeanderTyp
     """
     if a < 2 or a % 2:
         raise PreconditionError(f"a must be even and >= 2, got {a}")
-    if b < 1 or gcd(a, b) != 1:
+    if type(b) is not int or b < 1 or gcd(a, b) != 1:
         raise PreconditionError(f"b must be positive with gcd(a, b) == 1, got b={b}")
-    if k < 0:
+    if type(k) is not int or k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
-    if bottom_copies < 0:
+    if type(bottom_copies) is not int or bottom_copies < 0:
         raise PreconditionError(f"bottom_copies must be >= 0, got {bottom_copies}")
     top_copies = k + bottom_copies
     if top_copies < 1:

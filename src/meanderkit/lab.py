@@ -149,6 +149,8 @@ def five_block_meanders(n_max: int) -> tuple[list[MeanderType], list[MeanderType
     the number of top blocks, then top-major lexicographically.  An n_max
     over FIVE_BLOCK_MAX_ORDER raises PreconditionError before the walk.
     """
+    if type(n_max) is not int:
+        raise PreconditionError(f"n_max must be an integer, got {n_max!r}")
     _check_budget("order", n_max, FIVE_BLOCK_MAX_ORDER, "five-block")
     frob: list[MeanderType] = []
     nonfrob: list[MeanderType] = []

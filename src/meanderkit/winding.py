@@ -49,19 +49,38 @@ Inside this module a meander is one pair ``sides = [top, bottom]`` of
 stacks: lists in reverse order, whose last entry is the first block.
 Every move touches only the first blocks, except the refined internal
 moves, so a down- or up-move appends, pops or rewrites the end of a stack
-in O(1), and a flip reverses the pair in place.  The public functions take
-and return tuple-based ``MeanderType`` values and convert at their boundary.
+in O(1), a run of k moves slices k blocks at once, and a flip reverses the
+pair in place.  The public functions take and return tuple-based
+``MeanderType`` values and convert at their boundary.
 
-The one reduction driver, ``_reduce``, produces runs (move, count).  Where
-a run of equal moves has a closed form it is taken at once, as one
-division of a Euclid-like contraction (Dergachev and Kirillov, 2000; Coll
-et al., "Meander graphs and Frobenius seaweed Lie algebras"), so a
-signature costs per run, not per move:
+The one reduction driver, ``_reduce``, produces runs: (move, count), count
+equal moves, or (pair, count) for an alternation of the two moves of pair.
+Where a run has a closed form it is taken at once, one division of a
+Euclid-like contraction (Dergachev and Kirillov, 2000; Coll et al.,
+"Meander graphs and Frobenius seaweed Lie algebras") or one slice of each
+stack, so a signature costs per run, not per move:
 
 * R0 and R (b1 < a1 < 2b1) send a1 | b1 to b1 | b1 - d, d = a1 - b1, so d
   stays fixed, and the next move is again a rotation while the new bottom
   block stays above d.  From b1 the run has q = (b1 - 1) // d moves and
   ends at bottom x = b1 - q*d, top x + d.
+* P0 (a1 > 2b1) puts b1 behind the first top block and leaves a1 - 2b1 in
+  front of it, and the next move is again P0 while a1 - 2b1 > 2b2.  So
+  P0^k takes off twice the first k bottom blocks, k the number of their
+  prefix sums S_i = b1 + ... + b_i with 2S_i < a1, ends at top
+  a1 - 2S_k, b_k, ..., b1, a2, ... and bottom b_(k+1), ..., and is one
+  slice of each stack.  The refined system takes P only when IR would
+  leave a1 < 1, and the next move may be internal again, so its P is one
+  move.
+* F0 B0 from a1 = x, b1 = 2x carries x to the other side: the flip puts
+  2x over x, and B0 turns that 2x into x and removes the x below.  The
+  next pair follows while the next block on the other side is 2x too, so
+  the run meets bottom[-1], top[-2], bottom[-2], top[-3], ... of the old
+  stacks.  (F0 B0)^j removes the first ceil(j/2) old bottom blocks and
+  floor(j/2) + 1 old top blocks, puts x in front of the old bottom (j odd,
+  the stacks flipped) or the old top (j even), and has 2j moves.  The
+  refined (F B)^j is the same.  With x = 1, 2j can exceed the order n, so
+  _reduce caps runs at 2n moves, the most a signature of order n has.
 * IR rewrites a center block B_i = p..p+b_i-1 to b_i = r + 1, keeping its
   start, and a1 to a1 - delta.  Here r = min(a1 + 1 - 2p, 2(p + b_i - 1) -
   a1 - 1) is the doubled distance from the center to the near end of B_i,
@@ -76,24 +95,44 @@ signature costs per run, not per move:
   a1 - q*delta, b_i = r - (q - 1)*delta + 1.
 
 Winding up costs per run on the runs that a signature shares.  _expand
-writes an R0^q run as q references to one move instance, hat_reversed maps
-that instance once and repeats its one ~R0, and wind_up recognises the
-repeats by identity alone.  ~R0 and ~R send a1 | b1 to 2a1 - b1 | a1, so
-both first blocks grow by d = a1 - b1 and d stays fixed.  Once the first
-move of the run succeeds (d > 0), the other q - 1 cannot fail and add
-(q - 1)*d to both first blocks at once.  Equal fresh instances, such as
-the undo moves of step_refined_full, are applied one move at a time.
+writes a run as references to one move instance, or to the two of an
+alternation, hat_reversed maps each instance once and repeats its shared
+up-move, and wind_up recognises the runs by identity alone.  Equal fresh
+instances, such as the undo moves of step_refined_full, are applied one
+move at a time.
+
+* ~R0 and ~R send a1 | b1 to 2a1 - b1 | a1, so both first blocks grow by
+  d = a1 - b1 and d stays fixed.  Once the first move of the run succeeds
+  (d > 0), the other q - 1 cannot fail and add (q - 1)*d to both first
+  blocks at once.
+* ~P0 and ~P send a1 | a2 | a3 ... / b1 ... to a1 + 2a2 | a3 ... /
+  a2 | b1 ...: k of them move the k top blocks after a1 to the front of
+  the bottom, the last of them first, and add twice their sum to a1.
+  Only a move that finds one top block fails, so after the first move of
+  the run, min(q - 1, blocks - 1) of the others go at once, and the next,
+  if any, fails at its own step, as move by move.
+* hat_reversed writes (F0 B0)^j as ~B0 ~F0 ... ~B0 ~F0.  From x = a1,
+  each ~B0 doubles the first top block and puts x in front of the bottom,
+  and each ~F0 flips, so the next ~B0 doubles the x just placed.  Neither
+  fails on a non-empty meander, so from the first ~B0 that follows a ~F0
+  the q alternating moves, ceil(q/2) of them ~B0, go at once: the first
+  top block becomes 2x, ceil(q/2) - 1 more blocks 2x go to the bottom and
+  the top in turn, x goes in front of the side the last ~B0 put it on,
+  and the stacks end flipped when floor(q/2) is odd.
 
 IC, IB and IR find the center block from one finger on the bottom stack:
 a stack index k and the start vertex p of that block.  A resize or
 removal of bottom block 1 moves p by the change in size in front of it (a
 finger on a removed block 1 goes to the next), a removal at the center
-leaves it on a neighbouring block, and a flip restarts it at the front.
-The search starts at the last center block instead of the first block: on
-family_parabolic(2, 600, 3) its 900 searches move the finger 600 blocks in
-all.  The single steps and the up-moves start it at the first block.
-The period-2 runs, such as (P0 F0)^q and (F0 B0)^q, are still taken one
-move at a time.
+leaves it on a neighbouring block, and a flip or an (F B)^j run restarts
+it at the front.  The search starts at the last center block instead of
+the first block: on family_parabolic(2, 600, 3) its 900 searches move the
+finger 600 blocks in all.  The single steps and the up-moves start it at
+the first block.  Runs without a closed form still take one move each:
+the period-3 (IR IB IB)^q of family_parabolic(2, k, b)'s refined
+signature, and the longer periods, such as the (F0 P0 F0 B0 B0)^q of
+family_parabolic(4, k, 1), that the families with a >= 4 reach after
+their P0^k run.
 
 The simplified down-step also makes all meanders one tree, rooted at the
 empty meander, which ``_meander_tree`` walks by reverse search (Avis and
@@ -275,13 +314,31 @@ class WindUpError(PreconditionError):
 # ---------------------------------------------------------------------------
 
 
-# The one-move runs of the moves without a parameter.
-_ONCE = {tag: (move, 1) for tag, move in _MOVES.items()}
+# A run is (move, count): count equal moves, or for an alternation the
+# pair (flip, block) of moves and count, even, the moves in it.  The raw
+# steps name their moves from an alphabet: the one-move run of each
+# simplified case, the pair of the alternation, and the tag of C0, in
+# either system.
+def _alphabet(f: str, c: str, b: str, r: str, p: str) -> dict:
+    flip, block = _MOVES[f], _MOVES[b]
+    return {
+        "F0": (flip, 1),
+        "B0": (block, 1),
+        "R0": (_MOVES[r], 1),
+        "P0": (_MOVES[p], 1),
+        "F0 B0": (flip, block),
+        "C0": c,
+    }
+
+
+_SIMPLIFIED = _alphabet("F0", "C0", "B0", "R0", "P0")
+_REFINED = _alphabet("F", "C", "B", "R", "P")
+_IB = (_MOVES["IB"], 1)
 
 
 def _sides(top: Composition, bottom: Composition) -> list[list[int]]:
     """The pair [top, bottom] of stacks that holds the meander top/bottom."""
-    return [list(reversed(top)), list(reversed(bottom))]
+    return [[*top[::-1]], [*bottom[::-1]]]
 
 
 def _meander(sides: list[list[int]]) -> MeanderType:
@@ -290,41 +347,75 @@ def _meander(sides: list[list[int]]) -> MeanderType:
 
 
 # A raw step changes the pair sides = [top, bottom] in place and returns
-# the run it took, (move, count): a run of count equal moves, at most
-# `most`, where the run has a closed form (R0, R, IR), and one move
+# the run it took, at most `most` moves long: a whole run where it has a
+# closed form (P0, R0, IR and the alternation F0 B0), and one move
 # otherwise.  A flip reverses sides.  finger = [k, p] is a finger on the
 # bottom stack: a stack index k and the start vertex p of that block.  The
 # refined step searches the center from it and keeps it valid; the
-# simplified step, which never searches, ignores it.
+# simplified step, which never searches, ignores it.  moves is the
+# alphabet the step names its moves in.
 def _step_simplified_raw(
-    sides: list[list[int]], finger: list[int], most: int
-) -> tuple[Move, int]:
+    sides: list[list[int]], finger: list[int], most: int, moves: dict = _SIMPLIFIED
+) -> tuple[Move | tuple[Move, Move], int]:
     top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
         sides.reverse()
-        return _ONCE["F0"]
+        if b1 != 2 * a1 or most < 2:
+            return moves["F0"]
+        # (F0 B0)^j: each pair carries x = a1 to the other side, where it
+        # replaces the first block, 2x, and the next pair follows while the
+        # next block there is 2x too.  Those blocks are bottom[-1], top[-2],
+        # bottom[-2], top[-3], ... of the old stacks, and the equal sums
+        # keep each in range.
+        most //= 2
+        old = (bottom, top)
+        j = 1
+        while j < most and old[j % 2][-1 - (j + 1) // 2] == b1:
+            j += 1
+        del bottom[-((j + 1) // 2) :]
+        del top[-1 - j // 2 :]
+        if j % 2:
+            bottom.append(a1)
+        else:
+            top.append(a1)
+            sides.reverse()
+        return moves["F0 B0"], 2 * j
     if a1 == b1:
         top.pop()
         bottom.pop()
-        return Move("C0", a1), 1
-    if a1 == 2 * b1:
+        return Move(moves["C0"], a1), 1
+    d = a1 - b1
+    if d == b1:
         top[-1] = b1
         bottom.pop()
-        return _ONCE["B0"]
-    if a1 < 2 * b1:
-        d = a1 - b1
+        return moves["B0"]
+    if d < b1:
         q = (b1 - 1) // d
         if q > most:
             q = most
         top[-1] = b1 - (q - 1) * d
         bottom[-1] = b1 - q * d
-        return _MOVES["R0"], q
-    top[-1] = b1
-    top.append(a1 - 2 * b1)
-    bottom.pop()
-    return _ONCE["P0"]
+        return moves["R0"][0], q
+    # P0^k: each P0 puts the first bottom block behind the first top block
+    # and takes twice its size off a1, while a1 > 2*b1; the equal sums keep
+    # the next bottom block in range
+    a1 = d - b1
+    if a1 <= 2 * bottom[-2] or most < 2:
+        top[-1] = b1
+        top.append(a1)
+        bottom.pop()
+        return moves["P0"]
+    k = 2
+    a1 -= 2 * bottom[-2]
+    while k < most and a1 > 2 * bottom[-1 - k]:
+        k += 1
+        a1 -= 2 * bottom[-k]
+    top[-1:] = bottom[: -1 - k : -1]
+    top.append(a1)
+    del bottom[-k:]
+    return moves["P0"][0], k
 
 
 def _front(sides: list[list[int]]) -> list[int]:
@@ -352,22 +443,19 @@ def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int,
         p = q + 1
 
 
-# The renamed one-move runs of B0, R0 and P0; an R0^q run becomes R^q.
-_REFINED = {"B0": _ONCE["B"], "R0": _ONCE["R"], "P0": _ONCE["P"]}
-
-
 def _step_refined_raw(
     sides: list[list[int]], finger: list[int], most: int
-) -> tuple[Move, int]:
+) -> tuple[Move | tuple[Move, Move], int]:
     top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
     if a1 < b1:
-        # the old top is the new bottom; the finger starts at its front
-        sides.reverse()
-        finger[0] = len(top) - 1
+        # F, or the alternation (F B)^j; the finger starts at the front of
+        # the new bottom
+        run = _step_simplified_raw(sides, finger, most, _REFINED)
+        finger[0] = len(sides[1]) - 1
         finger[1] = 1
-        return _ONCE["F"]
+        return run
     if a1 > 2 * b1:
         # the bottom block around the center of A1 decides; it is never the
         # first block, which ends at b1 < a1/2.  IB and IR leave the finger
@@ -380,7 +468,7 @@ def _step_refined_raw(
             x = bottom.pop(k + 1)
             finger[1] = p - x
             top[-1] = a1 - x
-            return _ONCE["IB"]
+            return _IB
         bi = bottom[k]
         if p + q == a1 + 1:
             del bottom[k]
@@ -399,20 +487,20 @@ def _step_refined_raw(
             top[-1] = a1 - q * delta
             bottom[k] = r - (q - 1) * delta + 1
             return _MOVES["IR"], q
-        # the center block extends too far past A1 for the IR rewrite: P
-    # C, B, R and P are the simplified moves, renamed.  Each removes or
-    # resizes bottom block 1: a finger behind it moves by the change in size
-    # in front of it, and a finger on it (p = 1) stays on the first block.
+        # the center block extends too far past A1 for the IR rewrite: one
+        # P, since the next move may be internal again
+        most = 1
+    # C, B, R and P are the simplified moves, named in this alphabet.  Each
+    # removes or resizes bottom block 1: a finger behind it moves by the
+    # change in size in front of it, and a finger on it (p = 1) stays on
+    # the first block.
     n = len(bottom)
-    move, q = _step_simplified_raw(sides, finger, most)
+    run = _step_simplified_raw(sides, finger, most, _REFINED)
     if finger[0] < n - 1:
         finger[1] += (bottom[-1] if len(bottom) == n else 0) - b1
     elif len(bottom) < n:
         finger[0] = n - 2
-    if move.c is None:
-        run = _REFINED[move.tag]
-        return run if q == 1 else (run[0], q)
-    return Move("C", move.c), 1
+    return run
 
 
 def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
@@ -427,30 +515,36 @@ def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     return move, _meander(sides), _UP_MOVES.get(tag) or UpMove(tag, move.c, block)
 
 
-def _reduce(top: Composition, bottom: Composition, step_raw) -> list[tuple[Move, int]]:
-    """Apply step_raw until the meander is empty; the runs (move, count)
-    taken.  Every run is shorter than the order, so capping runs at the
-    order takes each of them whole."""
+def _reduce(
+    top: Composition, bottom: Composition, step_raw
+) -> list[tuple[Move | tuple[Move, Move], int]]:
+    """Apply step_raw until the meander is empty; the runs taken.  The cap
+    counts moves.  A signature of order n has at most 2n moves (no two
+    flips are adjacent), and an (F0 B0)^j run can be longer than n, so
+    capping runs at 2n moves takes each of them whole."""
     if not top:
         raise PreconditionError("the empty meander has the empty signature")
-    most = sum(top)
+    most = 2 * sum(top)
     sides = _sides(top, bottom)
     finger = _front(sides)
-    runs: list[tuple[Move, int]] = []
+    runs: list[tuple[Move | tuple[Move, Move], int]] = []
     append = runs.append
     while sides[0]:
         append(step_raw(sides, finger, most))
     return runs
 
 
-def _expand(runs: list[tuple[Move, int]]) -> list[Move]:
-    """The signature: each run written out as count equal moves."""
-    _check_budget("move count", sum(q for _, q in runs), SIGNATURE_MAX_MOVES, "signature")
+def _expand(runs: list[tuple[Move | tuple[Move, Move], int]]) -> list[Move]:
+    """The signature: each run written out, as count references to its
+    move or count/2 to the pair of an alternation."""
+    _check_budget("move count", sum([q for _, q in runs]), SIGNATURE_MAX_MOVES, "signature")
     sig: list[Move] = []
     append = sig.append
     for move, q in runs:
         if q == 1:
             append(move)
+        elif move.__class__ is tuple:
+            sig += move * (q // 2)
         else:
             sig += [move] * q
     return sig
@@ -553,7 +647,7 @@ def _parameters(m: MeanderType) -> list[int]:
     Their sum minus one is the index, at a cost that does not grow with
     the order."""
     runs = _reduce(m.top, m.bottom, _step_simplified_raw)
-    return [move.c for move, _ in runs if move.c is not None]
+    return [move.c for move, q in runs if q == 1 and move.c is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +746,50 @@ def apply_up_move(move: UpMove, m: MeanderType) -> MeanderType:
     return _meander(sides)
 
 
+def _apply_up_run(tag: str, q: int, sides: list[list[int]]) -> int:
+    """Apply q moves of a run in closed form to sides in place: q repeats
+    of ~R0/~R or ~P0/~P, or q alternating moves ~B0 ~F0 ~B0 ... (~B ~F ...)
+    from a ~B0 or ~B.  The moves applied: all q, except that a ~P run
+    stops where one top block is left, before the move that would fail.
+    Only a ~P can fail here: the run starts on a non-empty meander, after
+    a move of its own kind succeeded."""
+    top, bottom = sides
+    if tag in ("~R", "~R0"):
+        # each ~R adds d = a1 - b1 to both first blocks
+        d = q * (top[-1] - bottom[-1])
+        top[-1] += d
+        bottom[-1] += d
+        return q
+    if tag in ("~P", "~P0"):
+        # the k top blocks after a1 go to the front of the bottom, the
+        # last of them first, and a1 grows by twice their sum
+        k = min(q, len(top) - 1)
+        moved = top[-1 - k : -1]
+        bottom += moved[::-1]
+        a1 = top[-1] + 2 * sum(moved)
+        del top[-1 - k :]
+        top.append(a1)
+        return k
+    # each ~B turns x = a1 into 2x and puts x in front of the other side,
+    # where the next ~B, after a flip, turns it into 2x again
+    x = top[-1]
+    blocks = (q + 1) // 2
+    top[-1] = 2 * x
+    top += [2 * x] * ((blocks - 1) // 2)
+    bottom += [2 * x] * (blocks // 2)
+    (bottom if blocks % 2 else top).append(x)
+    if q // 2 % 2:
+        sides.reverse()
+    return q
+
+
+# The shared up-moves that wind_up takes in runs: a repeat of one, or the
+# alternation ~B0 ~F0 ~B0 ... (~B ~F ~B ...) that hat_reversed writes for
+# an (F0 B0)^j run.
+_REPEATED = ("~R", "~R0", "~P", "~P0")
+_UP_F0, _UP_B0, _UP_F, _UP_B = (_UP_MOVES[tag] for tag in ("~F0", "~B0", "~F", "~B"))
+
+
 def wind_up(seq: Iterable[UpMove]) -> MeanderType:
     """Build a meander from the empty meander by a sequence of up-moves.
 
@@ -659,43 +797,65 @@ def wind_up(seq: Iterable[UpMove]) -> MeanderType:
     is checked at application time; violations raise WindUpError carrying
     the 1-based step index.
 
-    A run of one ~R0 or ~R instance repeated, as hat_reversed writes an
-    R0^q run, costs one move: once its first move succeeds, the rest
-    cannot fail and are applied together in closed form (module
-    docstring).  Every other move, and each of equal fresh instances, is
-    applied on its own.
+    A run of shared up-moves, as hat_reversed writes the runs of a
+    signature, costs one closed-form update (module docstring): one ~R0,
+    ~R, ~P0 or ~P instance repeated, after its first move, and an
+    alternation of the shared ~B0 and ~F0 (or ~B and ~F) from a ~B0 that
+    follows a ~F0.  A ~P run that finds one top block fails at the step of
+    that move, as move by move.  Every other move, and each of equal fresh
+    instances, is applied on its own.
     """
-    sides = _sides((), ())
-    step = 0
-    last = None  # the move last applied
     moves = iter(seq)
+    last = next(moves, None)  # the move last applied
+    if last is None:
+        raise WindUpError(0, None, "empty up-move sequence")
+    if last.tag not in ("~C", "~C0"):
+        raise WindUpError(1, last, "the first move must create a component")
+    sides = _sides((), ())
+    _apply_up_raw(last.tag, last.c, None, sides)
+    step = 1
+    f0, b0, f, b = _UP_F0, _UP_B0, _UP_F, _UP_B
     for move in moves:
         step += 1
-        if move is last and move.tag in ("~R", "~R0"):
-            # the other moves of the run each add d = a1 - b1 to both first blocks
-            q = 1
-            for move in moves:
-                step += 1
-                if move is not last:
-                    break
-                q += 1
+        if (
+            move is last
+            and move.tag in _REPEATED
+            or move is b0
+            and last is f0
+            or move is b
+            and last is f
+        ):
+            run, first, q = move, step, 1
+            if move is last:
+                for move in moves:
+                    step += 1
+                    if move is not run:
+                        break
+                    q += 1
+                else:
+                    move = None
             else:
-                move = None
-            top, bottom = sides
-            d = q * (top[-1] - bottom[-1])
-            top[-1] += d
-            bottom[-1] += d
-            if move is None:
+                # the moves go on alternating last and run
+                expected, then = last, run
+                for move in moves:
+                    step += 1
+                    if move is not expected:
+                        break
+                    q += 1
+                    expected, then = then, expected
+                else:
+                    move = None
+            done = _apply_up_run(run.tag, q, sides)
+            if done < q:
+                # the next ~P finds one top block: it fails below
+                move, step = run, first + done
+            elif move is None:
                 break
-        if step == 1 and move.tag not in ("~C", "~C0"):
-            raise WindUpError(step, move, "the first move must create a component")
         try:
             _apply_up_raw(move.tag, move.c, move.block, sides)
         except PreconditionError as exc:
             raise WindUpError(step, move, str(exc)) from exc
         last = move
-    if step == 0:
-        raise WindUpError(0, None, "empty up-move sequence")
     return _meander(sides)
 
 

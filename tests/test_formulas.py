@@ -114,6 +114,22 @@ def test_family_biparabolic_preconditions():
         family_biparabolic(3, 2, 1, 1)  # odd a
 
 
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        (family_parabolic, (2, True, 1), "k must be >= 1, got True"),
+        (family_biparabolic, (2, True, 1, 1), "b must be positive with gcd"),
+        (family_biparabolic, (2, 1, True, 1), "k must be >= 0, got True"),
+        (family_biparabolic, (2, 1, 1, True), "bottom_copies must be >= 0, got True"),
+    ],
+    ids=["parabolic-k", "biparabolic-b", "biparabolic-k", "biparabolic-bottom_copies"],
+)
+def test_families_refuse_a_bool_count(family, args, message):
+    # True would otherwise count as 1: family_parabolic(2, True, 1) is 2|1/3
+    with pytest.raises(PreconditionError, match=message):
+        family(*args)
+
+
 def test_families_always_frobenius():
     rng = random.Random(3)
     for _ in range(150):

@@ -199,6 +199,12 @@ def test_search_gcd_refuses_bool_arguments(args, kwargs, message):
         search_gcd_conditions(*args, frob, nonfrob, **kwargs)
 
 
+def test_five_block_meanders_refuses_a_bool_order():
+    # True would otherwise run as order 1
+    with pytest.raises(PreconditionError, match="n_max must be an integer, got True"):
+        five_block_meanders(True)
+
+
 def test_scans_refuse_a_bool_order():
     for scan in (scan_unimodality, scan_block_measures):
         with pytest.raises(PreconditionError, match="n_max must be >= 1"):

@@ -536,6 +536,39 @@ def test_steps_match_reference_large_families():
     _assert_matches_reference(m)
 
 
+def _doubling_meander(rng):
+    """A meander of blocks x and 2x, mostly 2x, on both sides, the lighter
+    side padded with one block: its signatures hold long (F0 B0)^j runs."""
+    x = rng.randint(1, 4)
+    top = [x] + [rng.choice((x, 2 * x, 2 * x, 2 * x)) for _ in range(rng.randint(0, 20))]
+    bottom = [rng.choice((x, 2 * x, 2 * x, 2 * x)) for _ in range(rng.randint(1, 20))]
+    rng.shuffle(top if rng.random() < 0.3 else bottom)
+    gap = sum(top) - sum(bottom)
+    if gap > 0:
+        bottom.append(gap)
+    elif gap < 0:
+        top.append(-gap)
+    return MeanderType(tuple(top), tuple(bottom))
+
+
+def test_steps_match_reference_on_alternations():
+    # (F0 B0)^j runs, and (F B)^j, of both parities of j, some longer than
+    # the order, among single flips
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(3000):
+        m = _doubling_meander(rng)
+        _assert_matches_reference(m)
+        for move, q in _reduce(m.top, m.bottom, _step_simplified_raw):
+            if move == Move("F0"):
+                seen.add("flip")
+            elif move.__class__ is tuple:
+                seen.add(("j odd", "j even")[q // 2 % 2 == 0])
+                if q > m.n:
+                    seen.add("longer than the order")
+    assert seen == {"flip", "j odd", "j even", "longer than the order"}
+
+
 def test_single_vertex_blocks_at_scale():
     m = MeanderType((1,) * 32000, (1,) * 32000)
     sig = signature_simplified(m)
@@ -580,6 +613,42 @@ def test_center_search_keeps_its_finger_local(monkeypatch, m, walk):
     monkeypatch.setattr(winding, "_center_block", counting)
     signature_refined(m)
     assert sum(moved) == walk
+
+
+def test_period_runs_are_taken_whole(monkeypatch):
+    # P0^k and (F0 B0)^j are one run each, and so are their up-moves
+    from meanderkit import winding
+
+    families = (family_parabolic(2, 600, 3), family_biparabolic(2, 5, 120, 600))
+    for m in families:
+        assert len(_reduce(m.top, m.bottom, _step_simplified_raw)) <= 15
+    calls = []
+    raw = winding._apply_up_raw
+
+    def counting(*args):
+        calls.append(args[0])
+        return raw(*args)
+
+    monkeypatch.setattr(winding, "_apply_up_raw", counting)
+    up = hat_reversed(signature_simplified(families[1]))
+    assert wind_up(up) == families[1]
+    assert len(calls) <= 20 < len(up)
+
+
+def test_the_refined_step_builds_one_move_per_c(monkeypatch):
+    from meanderkit import winding
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Move(*args)
+
+    monkeypatch.setattr(winding, "Move", counting)
+    sig = signature_refined(parse_type("1|2|3/1|2|3"))
+    assert [str(mv) for mv in sig] == ["C(1)", "C(2)", "C(3)"]
+    assert built == [("C", 1), ("C", 2), ("C", 3)]
+
 
 def _index_from_runs(m):
     return sum(homotopy_type(m).parameters()) - 1
@@ -788,14 +857,26 @@ def test_wind_up_matches_the_slow_route_on_long_rotation_runs():
 
 
 def _random_up_sequence(rng):
-    """Up-moves of shared instances with long ~R0 and ~R runs; about one
-    sequence in three holds a move whose precondition fails."""
-    shared = {tag: parse_up_moves(tag)[0] for tag in ("~R0", "~R", "~B0", "~F0", "~P0", "~B", "~F")}
+    """Up-moves of shared instances with long ~R0 and ~R runs, ~P0 and ~P
+    runs, which may run out of top blocks, and alternations ~B0 ~F0 ...
+    (~B ~F ...) with and without a trailing flip.  About three sequences
+    in four hold a move whose precondition fails, most often a rotation
+    after a flip."""
+    shared = {
+        tag: parse_up_moves(tag)[0] for tag in ("~R0", "~R", "~B0", "~F0", "~P0", "~P", "~B", "~F")
+    }
     seq = [UpMove("~C0", rng.randint(1, 5))]
-    for _ in range(rng.randint(1, 12)):
+    for _ in range(rng.randint(1, 8)):
         kind = rng.random()
-        if kind < 0.4:
+        if kind < 0.3:
             seq += [shared[rng.choice(("~R0", "~R"))]] * rng.randint(1, 3000)
+        elif kind < 0.4:
+            seq += [shared[rng.choice(("~P0", "~P"))]] * rng.randint(2, 8)
+        elif kind < 0.55:
+            block, flip = rng.choice((("~B0", "~F0"), ("~B", "~F")))
+            seq += [shared[block], shared[flip]] * rng.randint(1, 40)
+            if rng.random() < 0.5:
+                seq.pop()
         elif kind < 0.9:
             seq.append(shared[rng.choice(("~B0", "~F0", "~P0", "~B", "~F"))])
         else:
@@ -813,10 +894,17 @@ def _assert_routes_agree(seq):
 
 def test_wind_up_matches_the_slow_route_on_random_runs():
     rng = random.Random(2022)
-    failed = 0
+    failed = inside = 0
     for _ in range(300):
-        failed += isinstance(_assert_routes_agree(_random_up_sequence(rng)), tuple)
+        seq = _random_up_sequence(rng)
+        outcome = _assert_routes_agree(seq)
+        if isinstance(outcome, tuple):
+            failed += 1
+            # a ~P0 or ~P run that runs out of top blocks after its first move
+            step = outcome[0]
+            inside += step > 2 and seq[step - 1] is seq[step - 2] is seq[step - 3]
     assert 30 <= failed <= 270
+    assert inside >= 5
 
 
 def test_wind_up_reports_the_step_of_a_failing_move_around_a_run():
@@ -831,6 +919,12 @@ def test_wind_up_reports_the_step_of_a_failing_move_around_a_run():
         ([c2, UpMove("~B0"), UpMove("~F0")] + [r] * 500, 4),
         # a run, a flip, then a second run on a1 < b1
         ([c2, UpMove("~B0")] + [r0] * 7 + [UpMove("~F0")] + [r0] * 5, 11),
+        # a ~P0 run that finds one top block at its second, third or fourth move
+        ([UpMove("~C0", 1)] * 2 + [p0] * 5, 4),
+        ([UpMove("~C0", 1)] * 3 + [p0] * 5, 6),
+        ([UpMove("~C0", 1)] * 4 + [p0] * 9, 8),
+        # an alternation of the shared ~B0 and ~F0, then a ~R0 on a1 < b1
+        ([c2] + parse_up_moves("~B0 ~F0") * 50 + [r0], 102),
         # the first-move check comes before any run
         ([r0] * 10, 1),
     ]
