@@ -315,9 +315,12 @@ class WindUpError(PreconditionError):
 
 
 # A run is (move, count): count equal moves, or for an alternation the
-# pair (flip, block) of moves and count, even, the moves in it.  The raw
-# steps name their moves from an alphabet: the one-move run of each
-# simplified case, the pair of the alternation, and the tag of C0, in
+# pair (flip, block) of moves and count, even, the moves in it.
+_Run = tuple[Move | tuple[Move, Move], int]
+
+
+# The raw steps name their moves from an alphabet: the one-move run of
+# each simplified case, the pair of the alternation, and the tag of C0, in
 # either system.
 def _alphabet(f: str, c: str, b: str, r: str, p: str) -> dict:
     flip, block = _MOVES[f], _MOVES[b]
@@ -356,7 +359,7 @@ def _meander(sides: list[list[int]]) -> MeanderType:
 # alphabet the step names its moves in.
 def _step_simplified_raw(
     sides: list[list[int]], finger: list[int], most: int, moves: dict = _SIMPLIFIED
-) -> tuple[Move | tuple[Move, Move], int]:
+) -> _Run:
     top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
@@ -443,9 +446,7 @@ def _center_block(a1: int, bottom: list[int], k: int, p: int) -> tuple[int, int,
         p = q + 1
 
 
-def _step_refined_raw(
-    sides: list[list[int]], finger: list[int], most: int
-) -> tuple[Move | tuple[Move, Move], int]:
+def _step_refined_raw(sides: list[list[int]], finger: list[int], most: int) -> _Run:
     top, bottom = sides
     a1 = top[-1]
     b1 = bottom[-1]
@@ -515,9 +516,7 @@ def _step(m: MeanderType, step_raw) -> tuple[Move, MeanderType, UpMove]:
     return move, _meander(sides), _UP_MOVES.get(tag) or UpMove(tag, move.c, block)
 
 
-def _reduce(
-    top: Composition, bottom: Composition, step_raw
-) -> list[tuple[Move | tuple[Move, Move], int]]:
+def _reduce(top: Composition, bottom: Composition, step_raw) -> list[_Run]:
     """Apply step_raw until the meander is empty; the runs taken.  The cap
     counts moves.  A signature of order n has at most 2n moves (no two
     flips are adjacent), and an (F0 B0)^j run can be longer than n, so
@@ -527,14 +526,14 @@ def _reduce(
     most = 2 * sum(top)
     sides = _sides(top, bottom)
     finger = _front(sides)
-    runs: list[tuple[Move | tuple[Move, Move], int]] = []
+    runs: list[_Run] = []
     append = runs.append
     while sides[0]:
         append(step_raw(sides, finger, most))
     return runs
 
 
-def _expand(runs: list[tuple[Move | tuple[Move, Move], int]]) -> list[Move]:
+def _expand(runs: list[_Run]) -> list[Move]:
     """The signature: each run written out, as count references to its
     move or count/2 to the pair of an alternation."""
     _check_budget("move count", sum([q for _, q in runs]), SIGNATURE_MAX_MOVES, "signature")
